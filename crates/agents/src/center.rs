@@ -26,8 +26,9 @@
 //!
 //! **Crash and recovery.** The center writes a durable
 //! [`CenterCheckpoint`] at every phase boundary — day start, allocation
-//! computed, day settled. [`CenterAgent::crash`] wipes all in-memory
-//! protocol state (as a process crash would); [`CenterAgent::recover`]
+//! computed, day settled. [`CenterAgent::crash`] wipes all live protocol
+//! state (as a process crash would); the settled-day ledger lives only in
+//! the committed checkpoint, so it is never wiped. [`CenterAgent::recover`]
 //! restores from the last checkpoint, including the allocation RNG state,
 //! so the post-recovery allocation stream is identical to an uncrashed
 //! run. Reports and readings received *between* phase boundaries are
@@ -48,7 +49,7 @@ use enki_telemetry::trace::{stage, TraceContext};
 use enki_telemetry::{Recorder, VirtualClock};
 use rand::rngs::StdRng;
 use rand::{RngExt, SeedableRng};
-use serde::{Deserialize, Serialize};
+use serde::{Deserialize, Serialize, Value};
 
 use crate::message::{Envelope, Message, NodeId, Tick};
 
@@ -267,19 +268,29 @@ struct DayInProgress {
 /// The center mutates protocol state freely between phase boundaries,
 /// but a checkpoint is only ever taken at one of four commit points:
 /// day start, allocation (report deadline), settlement (meter
-/// deadline), and empty-day close. Each commit is a complete,
-/// self-consistent snapshot — never a delta — and bumps
+/// deadline), and empty-day close. Each commit bumps
 /// [`CenterAgent::commit_seq`], so a persistence layer can detect
-/// "a phase boundary passed" and write the new snapshot *behind* a
+/// "a phase boundary passed" and write the new state *behind* a
 /// write-ahead barrier before acknowledging the phase (log → flush →
 /// apply). States between commits are volatile by design: a crash
 /// rolls back to the previous boundary, and the protocol's idempotent
-/// message handling absorbs the replay. Checkpoints never contain
-/// unvalidated floats in `current` (raw reports are cleared at the
-/// report deadline), but `last_raw` intentionally preserves each
-/// household's last submission verbatim — NaN and all — which is why
-/// durable serialization uses the bit-exact snapshot codec rather
-/// than JSON.
+/// message handling absorbs the replay.
+///
+/// A checkpoint has two halves. The **live state** — next day, RNG,
+/// the day in progress, standing profiles, `last_raw` — is O(roster)
+/// and replaced whole at every commit. The **ledger** of settled
+/// [`DayRecord`]s only grows: a commit appends at most the record of
+/// the day it closes and never rewrites an earlier one. That is what
+/// lets the [journal](crate::durable::Journal) write most commits as a
+/// delta — the live state plus the ledger's newest records — instead
+/// of the whole history, while [`CenterCheckpoint::records`] still
+/// returns every settled day.
+///
+/// Checkpoints never contain unvalidated floats in `current` (raw
+/// reports are cleared at the report deadline), but `last_raw`
+/// intentionally preserves each household's last submission verbatim —
+/// NaN and all — which is why durable serialization uses the bit-exact
+/// snapshot codec rather than JSON.
 #[derive(Debug, Clone, PartialEq, Serialize, Deserialize)]
 pub struct CenterCheckpoint {
     next_day: u64,
@@ -309,6 +320,114 @@ impl CenterCheckpoint {
     pub fn next_day(&self) -> u64 {
         self.next_day
     }
+
+    /// Whether this checkpoint's ledger extends `earlier`'s: it is at
+    /// least as long and holds `earlier`'s newest record at the same
+    /// position. The ledger is append-only, so for two commits of one
+    /// center the boundary record decides; the check is O(roster).
+    pub(crate) fn extends(&self, earlier: &Self) -> bool {
+        let held = earlier.records.len();
+        held <= self.records.len()
+            && earlier
+                .records
+                .last()
+                .is_none_or(|last| self.records.get(held - 1) == Some(last))
+    }
+
+    /// A delta of this checkpoint against a ledger that already holds
+    /// its first `base` records: the live state plus `records[base..]`.
+    /// Borrowed, so encoding it copies no history.
+    pub(crate) fn delta(&self, base: usize) -> CenterDeltaRef<'_> {
+        CenterDeltaRef {
+            base: base.min(self.records.len()),
+            checkpoint: self,
+        }
+    }
+
+    /// Moves this checkpoint forward to `later`, which must
+    /// [extend](Self::extends) it: the live state is replaced and only
+    /// the records this ledger lacks are copied.
+    pub(crate) fn advance_to(&mut self, later: &Self) {
+        self.next_day = later.next_day;
+        self.rng_state = later.rng_state;
+        self.current.clone_from(&later.current);
+        self.profiles.clone_from(&later.profiles);
+        self.last_raw.clone_from(&later.last_raw);
+        let held = self.records.len().min(later.records.len());
+        self.records.extend_from_slice(&later.records[held..]);
+    }
+
+    /// Applies a replayed delta. It applies only when its base lies
+    /// within this ledger, the records both hold agree, and it does not
+    /// end before this ledger does; otherwise `false`, with `self`
+    /// untouched — the caller must treat the ledger as broken, never
+    /// guess around the gap.
+    pub(crate) fn apply_delta(&mut self, delta: CenterDelta) -> bool {
+        let CenterDelta {
+            base,
+            next_day,
+            rng_state,
+            current,
+            profiles,
+            last_raw,
+            records,
+        } = delta;
+        let Ok(base) = usize::try_from(base) else {
+            return false;
+        };
+        let Some(overlap) = self.records.len().checked_sub(base) else {
+            return false;
+        };
+        if records.len() < overlap || self.records[base..] != records[..overlap] {
+            return false;
+        }
+        self.records.extend(records.into_iter().skip(overlap));
+        self.next_day = next_day;
+        self.rng_state = rng_state;
+        self.current = current;
+        self.profiles = profiles;
+        self.last_raw = last_raw;
+        true
+    }
+}
+
+/// The encoding side of a [`CenterDelta`]: a checkpoint's live state
+/// and the tail of its ledger from `base` on, serialized straight from
+/// the borrowed checkpoint.
+#[derive(Debug)]
+pub(crate) struct CenterDeltaRef<'a> {
+    base: usize,
+    checkpoint: &'a CenterCheckpoint,
+}
+
+impl Serialize for CenterDeltaRef<'_> {
+    fn serialize_value(&self) -> Value {
+        let c = self.checkpoint;
+        let field = |name: &str, value: Value| (name.to_string(), value);
+        Value::Object(vec![
+            field("base", self.base.serialize_value()),
+            field("next_day", c.next_day.serialize_value()),
+            field("rng_state", c.rng_state.serialize_value()),
+            field("current", c.current.serialize_value()),
+            field("profiles", c.profiles.serialize_value()),
+            field("last_raw", c.last_raw.serialize_value()),
+            field("records", c.records[self.base..].serialize_value()),
+        ])
+    }
+}
+
+/// A replayed center delta: the live state of one commit plus the
+/// ledger's records from index `base` on. Decoded from the shape
+/// [`CenterDeltaRef`] writes.
+#[derive(Debug, Deserialize)]
+pub(crate) struct CenterDelta {
+    base: u64,
+    next_day: u64,
+    rng_state: [u64; 4],
+    current: Option<DayInProgress>,
+    profiles: BTreeMap<HouseholdId, Preference>,
+    last_raw: BTreeMap<HouseholdId, RawPreference>,
+    records: Vec<DayRecord>,
 }
 
 /// Ticks between repeated `DayStart` broadcasts to households that have
@@ -324,9 +443,11 @@ pub struct CenterAgent {
     rng: StdRng,
     next_day: u64,
     current: Option<DayInProgress>,
-    records: Vec<DayRecord>,
     profiles: BTreeMap<HouseholdId, Preference>,
     last_raw: BTreeMap<HouseholdId, RawPreference>,
+    /// The last committed checkpoint. Its ledger is the center's only
+    /// copy of the settled days: records join it in the commit that
+    /// closes their day, and a crash leaves it in place.
     durable: CenterCheckpoint,
     /// Monotone count of phase-boundary commits over the agent's
     /// lifetime (not protocol state: survives crashes, not persisted).
@@ -369,7 +490,6 @@ impl CenterAgent {
             rng,
             next_day: 0,
             current: None,
-            records: Vec::new(),
             profiles: BTreeMap::new(),
             last_raw: BTreeMap::new(),
             durable,
@@ -411,24 +531,9 @@ impl CenterAgent {
         plan: DayPlan,
         checkpoint: CenterCheckpoint,
     ) -> Self {
-        assert!(plan.is_valid(), "day plan deadlines must be ordered");
-        Self {
-            enki,
-            roster,
-            plan,
-            rng: StdRng::from_state(checkpoint.rng_state),
-            next_day: checkpoint.next_day,
-            current: checkpoint.current.clone(),
-            records: checkpoint.records.clone(),
-            profiles: checkpoint.profiles.clone(),
-            last_raw: checkpoint.last_raw.clone(),
-            durable: checkpoint,
-            commit_seq: 0,
-            down: false,
-            recorder: None,
-            trace_seed: 0,
-            pipeline: None,
-        }
+        let mut center = Self::new(enki, roster, plan, 0);
+        center.recover_from(checkpoint);
+        center
     }
 
     /// Attaches a telemetry recorder. The center emits admission
@@ -464,24 +569,25 @@ impl CenterAgent {
         &self.roster
     }
 
-    /// Settled day records so far.
+    /// Settled day records so far: the committed ledger, which a crash
+    /// does not wipe.
     #[must_use]
     pub fn records(&self) -> &[DayRecord] {
-        &self.records
+        &self.durable.records
     }
 
-    /// The last committed checkpoint, by reference — for inspection.
-    /// Use [`CenterAgent::snapshot`] when the checkpoint must outlive
-    /// the borrow (e.g. to hand it to a durability layer).
+    /// The last committed checkpoint, by reference: what the
+    /// [journal](crate::durable::Journal) writes and what
+    /// [`CenterAgent::recover`] restores, so the two can never drift
+    /// apart. Borrowing it copies nothing.
     #[must_use]
     pub fn checkpoint(&self) -> &CenterCheckpoint {
         &self.durable
     }
 
-    /// An owned copy of the last committed checkpoint: the one
-    /// snapshot API both persistence ([`crate::durable::Journal`])
-    /// and recovery paths share, so "what gets written" and "what
-    /// gets restored" can never drift apart.
+    /// An owned copy of the last committed checkpoint, for when it must
+    /// outlive the borrow. Copies the whole ledger; the commit path
+    /// uses [`CenterAgent::checkpoint`] instead.
     #[must_use]
     pub fn snapshot(&self) -> CenterCheckpoint {
         self.durable.clone()
@@ -502,53 +608,55 @@ impl CenterAgent {
         self.down
     }
 
-    /// Commits the current in-memory state as the durable checkpoint.
-    /// Called at phase boundaries only.
-    fn commit(&mut self) {
-        self.durable = CenterCheckpoint {
-            next_day: self.next_day,
-            rng_state: self.rng.state(),
-            records: self.records.clone(),
-            current: self.current.clone(),
-            profiles: self.profiles.clone(),
-            last_raw: self.last_raw.clone(),
-        };
+    /// Commits the live state into the durable checkpoint, with the
+    /// record of the day this commit closes (if any) appended to its
+    /// ledger. Called at phase boundaries only; O(roster), whatever the
+    /// length of the ledger.
+    fn commit(&mut self, closed: Option<DayRecord>) {
+        let durable = &mut self.durable;
+        durable.next_day = self.next_day;
+        durable.rng_state = self.rng.state();
+        durable.current.clone_from(&self.current);
+        durable.profiles.clone_from(&self.profiles);
+        durable.last_raw.clone_from(&self.last_raw);
+        durable.records.extend(closed);
         self.commit_seq += 1;
     }
 
-    /// Simulates a process crash: all in-memory protocol state is wiped.
-    /// The agent ignores messages and ticks until [`CenterAgent::recover`].
+    /// Simulates a process crash: all live protocol state is wiped. The
+    /// committed checkpoint, ledger included, is what durable storage
+    /// holds and survives. The agent ignores messages and ticks until
+    /// [`CenterAgent::recover`].
     pub fn crash(&mut self) {
         self.down = true;
         self.current = None;
-        self.records = Vec::new();
         self.profiles = BTreeMap::new();
         self.last_raw = BTreeMap::new();
         self.next_day = 0;
         self.rng = StdRng::seed_from_u64(0);
     }
 
-    /// Restarts after a crash, restoring protocol state — including the
-    /// allocation RNG — from the last durable checkpoint.
+    /// Restarts after a crash, restoring the live protocol state —
+    /// including the allocation RNG — from the last committed
+    /// checkpoint.
     pub fn recover(&mut self) {
-        let checkpoint = self.snapshot();
-        self.recover_from(checkpoint);
+        self.down = false;
+        let durable = &self.durable;
+        self.next_day = durable.next_day;
+        self.rng = StdRng::from_state(durable.rng_state);
+        self.current.clone_from(&durable.current);
+        self.profiles.clone_from(&durable.profiles);
+        self.last_raw.clone_from(&durable.last_raw);
     }
 
     /// Restarts from an externally recovered checkpoint (e.g. one
     /// replayed out of a write-ahead log), adopting it as the durable
     /// state. [`CenterAgent::recover`] is exactly this applied to the
-    /// agent's own [`CenterAgent::snapshot`] — one restore path, two
+    /// agent's own [`CenterAgent::checkpoint`] — one restore path, two
     /// sources.
     pub fn recover_from(&mut self, checkpoint: CenterCheckpoint) {
-        self.down = false;
-        self.next_day = checkpoint.next_day;
-        self.rng = StdRng::from_state(checkpoint.rng_state);
-        self.records = checkpoint.records.clone();
-        self.current = checkpoint.current.clone();
-        self.profiles = checkpoint.profiles.clone();
-        self.last_raw = checkpoint.last_raw.clone();
         self.durable = checkpoint;
+        self.recover();
     }
 
     /// The center's standing model of a household's demand: the last
@@ -642,7 +750,7 @@ impl CenterAgent {
         if self.current.is_none() && now / self.plan.day_length.max(1) >= self.next_day {
             let day = self.next_day;
             debug_assert!(
-                self.records.iter().all(|r| r.day != day),
+                self.durable.records.last().is_none_or(|r| r.day < day),
                 "a recorded day must never restart"
             );
             self.next_day += 1;
@@ -659,7 +767,7 @@ impl CenterAgent {
                 quarantined: Vec::new(),
                 clamped: Vec::new(),
             });
-            self.commit();
+            self.commit(None);
             if let Some(r) = self.recorder.as_ref() {
                 r.incr("center.day.started", 1);
             }
@@ -777,9 +885,8 @@ impl CenterAgent {
                     clamped: std::mem::take(&mut current.clamped),
                     settlement: None,
                 };
-                self.records.push(record);
                 self.current = None;
-                self.commit();
+                self.commit(Some(record));
                 if let Some(r) = self.recorder.as_ref() {
                     r.incr("center.day.empty", 1);
                 }
@@ -818,7 +925,7 @@ impl CenterAgent {
                     };
                     let assignments = outcome.assignments.clone();
                     current.allocation = Some((reports, outcome));
-                    self.commit();
+                    self.commit(None);
                     if let Some(r) = self.recorder.as_ref() {
                         r.incr("center.day.allocated", 1);
                         if let Some(started) = allocate_started {
@@ -858,9 +965,8 @@ impl CenterAgent {
                         clamped: std::mem::take(&mut current.clamped),
                         settlement: None,
                     };
-                    self.records.push(record);
                     self.current = None;
-                    self.commit();
+                    self.commit(Some(record));
                     if let Some(r) = self.recorder.as_ref() {
                         r.incr("center.day.allocation_failed", 1);
                     }
@@ -900,7 +1006,11 @@ impl CenterAgent {
                 // by construction) closes the day unbilled rather than
                 // taking the center down.
                 let settlement = self.enki.settle(&reports, &outcome, &consumption).ok();
-                self.records.push(DayRecord {
+                self.current = None;
+                // The record and advanced state commit atomically with
+                // billing: a crash after this point can never re-settle
+                // the day or bill anyone twice.
+                self.commit(Some(DayRecord {
                     day,
                     participants,
                     missing_reports,
@@ -908,17 +1018,13 @@ impl CenterAgent {
                     quarantined,
                     clamped,
                     settlement: settlement.clone(),
-                });
-                self.current = None;
-                // The record and advanced state commit atomically with
-                // billing: a crash after this point can never re-settle
-                // the day or bill anyone twice.
-                self.commit();
+                }));
                 if let Some(r) = self.recorder.as_ref() {
                     r.incr("center.day.settled", 1);
                     r.incr(
                         "center.readings.missing",
-                        self.records
+                        self.durable
+                            .records
                             .last()
                             .map_or(0, |rec| rec.missing_readings.len() as u64),
                     );
@@ -927,7 +1033,7 @@ impl CenterAgent {
                     }
                     // One point span per settled household at the
                     // `settle` stage of its report's causal chain.
-                    if let Some(rec) = self.records.last() {
+                    if let Some(rec) = self.durable.records.last() {
                         for &h in &rec.participants {
                             let ctx = TraceContext::report_stage(
                                 self.trace_seed,
@@ -966,7 +1072,7 @@ impl CenterAgent {
                 }
             } else {
                 self.current = None;
-                self.commit();
+                self.commit(None);
                 if let Some(r) = self.recorder.as_ref() {
                     r.incr("center.day.unsettled", 1);
                 }

@@ -16,23 +16,61 @@
 //! Every log call is **append → flush → apply**: the record is durable
 //! before the caller treats the state transition as committed.
 //! Payloads travel through the bit-exact
-//! [`snapshot`](enki_serve::snapshot) codec, because center
+//! [`snapshot`] codec, because center
 //! checkpoints legitimately carry NaN (`last_raw` preserves household
 //! submissions verbatim) and JSON would reject them.
+//!
+//! ## Record kinds
+//!
+//! | kind | payload |
+//! |---|---|
+//! | [`REC_CENTER`] | a full [`CenterCheckpoint`] |
+//! | [`REC_CENTER_DELTA`] | the checkpoint's live state plus its ledger's records from index `base` on |
+//! | [`REC_INGEST`] | an [`IngestCheckpoint`] |
+//! | [`REC_COMPACT`] | both streams, `(Option<CenterCheckpoint>, Option<IngestCheckpoint>)`, as the sole record of a fresh segment |
+//!
+//! A center checkpoint's settled-day ledger only grows, so most
+//! commits are written as a delta and each commit costs O(roster)
+//! bytes, not O(days of history). Two rules keep a single lost record
+//! (bit rot quarantines it) from costing more than it did when every
+//! commit was written in full:
+//!
+//! 1. **Two copies.** A delta carries every record the log does not yet
+//!    hold in two center records (compaction and full records count).
+//!    Each settled day therefore sits in its settle commit and in the
+//!    next center commit.
+//! 2. **Full records.** The first center commit after [`Journal::open`],
+//!    [`Journal::recover`] or a compaction — and any commit whose
+//!    ledger does not extend the journal's copy — is a full
+//!    [`REC_CENTER`]. A lost compaction record is covered by it.
 //!
 //! ## Recovery is replay plus a mandatory audit
 //!
 //! [`Journal::open`] / [`Journal::recover`] replay the log under the
 //! WAL's deterministic rules — torn tails truncated, corrupt records
 //! quarantined — and reduce the surviving records to a
-//! [`RecoveredState`] (last record of each stream wins; a compaction
-//! record seeds both streams at once). Replay alone is not trusted:
+//! [`RecoveredState`]: a full or compaction record replaces a stream,
+//! a delta extends the center's ledger. A delta applies only when its
+//! base lies within the ledger rebuilt so far, the records both hold
+//! agree, and it ends no earlier; otherwise the ledger has a gap,
+//! and unless a later full or compaction record replaces it, recovery
+//! fails closed as [`enki_core::Error::CorruptCheckpoint`] rather than
+//! restore a history with a day missing. Replay alone is not trusted:
 //! [`RecoveredState::audit`] re-runs the chaos oracle's mechanism
 //! invariants over the recovered settlement history and refuses —
 //! [`enki_core::Error::RecoveryAudit`] — any state the mechanism
 //! itself would reject. A CRC-valid record that no longer decodes is
-//! [`enki_core::Error::CorruptCheckpoint`]: that is a codec/version
+//! [`enki_core::Error::CorruptCheckpoint`] too: that is a codec/version
 //! problem, not bit rot, and recovery must not guess around it.
+//!
+//! One lost record never opens a gap, but two can: a flipped length
+//! prefix inside an older segment quarantines the rest of that segment,
+//! and if that takes both copies of a day, recovery fails closed. The
+//! newest settle commit is the only copy of its day until the next
+//! center commit flushes; losing it rolls the center back past bills
+//! already released, exactly as it did when every commit was full.
+//! DESIGN.md ("Durability and crash consistency") tabulates what each
+//! lost record rolls back.
 
 use std::fmt;
 
@@ -45,16 +83,20 @@ use enki_serve::prelude::IngestCheckpoint;
 use enki_serve::snapshot;
 use enki_telemetry::Recorder;
 
-use crate::center::CenterCheckpoint;
+use crate::center::{CenterCheckpoint, CenterDelta};
 use crate::oracle;
 
-/// WAL record kind: a center phase-boundary checkpoint.
+/// WAL record kind: a full center phase-boundary checkpoint.
 pub const REC_CENTER: u8 = 1;
 /// WAL record kind: a serve front-end ingest checkpoint.
 pub const REC_INGEST: u8 = 2;
 /// WAL record kind: a compaction checkpoint carrying both streams as
 /// one `(Option<CenterCheckpoint>, Option<IngestCheckpoint>)` pair.
 pub const REC_COMPACT: u8 = 3;
+/// WAL record kind: a center phase-boundary commit written as a delta —
+/// its live state plus the ledger's records from a base index on (see
+/// the module docs for the rules that decide full versus delta).
+pub const REC_CENTER_DELTA: u8 = 4;
 
 /// Journal sizing knobs.
 #[derive(Debug, Clone, Copy, PartialEq, Eq)]
@@ -89,8 +131,10 @@ pub struct RecoveredState {
     /// by the storage-level replay.
     pub quarantined: u64,
     /// CRC-valid records whose payload no longer decoded into the
-    /// expected checkpoint shape. Always `0` in a healthy deployment;
-    /// non-zero fails [`RecoveredState::audit`].
+    /// expected checkpoint shape, plus one when the center ledger ends
+    /// the replay with a gap (a delta that did not apply and no later
+    /// full record). Always `0` in a healthy deployment; non-zero fails
+    /// [`RecoveredState::audit`].
     pub undecodable: u64,
     /// Which stream first failed to decode (`"center"`, `"ingest"`,
     /// `"compaction"`, or `"unknown"` for an unrecognized kind tag).
@@ -142,9 +186,16 @@ pub struct Journal {
     recorder: Option<Recorder>,
     /// Appends since the last compaction.
     appends_since_compact: u64,
-    /// Latest value of each stream, for compaction payloads.
+    /// Latest value of each stream, for compaction payloads. Each
+    /// center commit replaces the copy's live state and appends only
+    /// the records its ledger lacks.
     last_center: Option<CenterCheckpoint>,
     last_ingest: Option<IngestCheckpoint>,
+    /// How many leading records of `last_center`'s ledger two center
+    /// records in the log hold; a delta carries the rest. Zero after
+    /// open, recovery and compaction, which makes the next center
+    /// commit a full record.
+    held_twice: usize,
 }
 
 impl fmt::Debug for Journal {
@@ -180,6 +231,7 @@ impl Journal {
             appends_since_compact: state.replayed,
             last_center: state.center.clone(),
             last_ingest: state.ingest.clone(),
+            held_twice: 0,
         };
         journal.note_recovery(&state);
         Ok((journal, state))
@@ -194,14 +246,43 @@ impl Journal {
     /// Logs a center phase-boundary checkpoint: append → flush; the
     /// caller applies (acknowledges the phase) only after `Ok`.
     ///
+    /// One append either way: a [`REC_CENTER_DELTA`] carrying the live
+    /// state and the records the log does not yet hold twice, or — the
+    /// first commit after open, recovery or compaction, or one whose
+    /// ledger does not extend the last logged one — a full
+    /// [`REC_CENTER`]. A delta neither copies nor encodes the ledger.
+    ///
     /// # Errors
     ///
     /// Returns [`WalError`] when the record could not be made durable;
     /// the phase must then be treated as uncommitted.
     #[must_use = "an unlogged commit is not durable; check the error"]
     pub fn log_center(&mut self, checkpoint: &CenterCheckpoint) -> Result<Lsn, WalError> {
-        let lsn = self.log(REC_CENTER, &snapshot::encode(checkpoint))?;
-        self.last_center = Some(checkpoint.clone());
+        // Records the log holds at least once (every record of the
+        // journal's copy), when the new ledger extends that copy.
+        let held_once = self
+            .last_center
+            .as_ref()
+            .filter(|last| checkpoint.extends(last))
+            .map(|last| last.records().len());
+        let base = held_once.map_or(0, |_| self.held_twice);
+        let lsn = if base == 0 {
+            self.log(REC_CENTER, &snapshot::encode(checkpoint))?
+        } else {
+            self.log(REC_CENTER_DELTA, &snapshot::encode(&checkpoint.delta(base)))?
+        };
+        // This record adds one copy of everything it carried: what the
+        // log held once it now holds twice.
+        match (self.last_center.as_mut(), held_once) {
+            (Some(last), Some(held_once)) => {
+                last.advance_to(checkpoint);
+                self.held_twice = held_once;
+            }
+            _ => {
+                self.last_center = Some(checkpoint.clone());
+                self.held_twice = 0;
+            }
+        }
         self.maybe_compact()?;
         Ok(lsn)
     }
@@ -236,6 +317,7 @@ impl Journal {
         self.appends_since_compact = state.replayed;
         self.last_center = state.center.clone();
         self.last_ingest = state.ingest.clone();
+        self.held_twice = 0;
         self.note_recovery(&state);
         if let (Some(r), Some(t0)) = (self.recorder.as_ref(), started) {
             r.incr("durable.recoveries", 1);
@@ -292,7 +374,11 @@ impl Journal {
         {
             return Ok(());
         }
-        let pair = (self.last_center.clone(), self.last_ingest.clone());
+        // The compaction record is the log's only copy of the ledger,
+        // so the next center commit is full, whether or not this one
+        // completes.
+        self.held_twice = 0;
+        let pair = (&self.last_center, &self.last_ingest);
         self.wal.compact(REC_COMPACT, &snapshot::encode(&pair))?;
         self.appends_since_compact = 0;
         if let Some(r) = self.recorder.as_ref() {
@@ -311,7 +397,11 @@ impl Journal {
     }
 }
 
-/// Reduces a raw WAL replay to the latest checkpoint of each stream.
+/// Reduces a raw WAL replay to the latest checkpoint of each stream:
+/// full and compaction records replace a stream, deltas extend the
+/// center ledger rebuilt so far. A delta that does not apply breaks
+/// the ledger until a later full or compaction record replaces it; a
+/// ledger still broken at the end fails the replay as `"center"`.
 fn reduce(recovery: &Recovery) -> RecoveredState {
     let mut state = RecoveredState {
         torn_tail_truncated: recovery.torn_tail.is_some(),
@@ -322,12 +412,26 @@ fn reduce(recovery: &Recovery) -> RecoveredState {
         state.undecodable += 1;
         state.first_undecodable.get_or_insert(kind);
     };
+    let mut ledger_gap = false;
     for record in &recovery.records {
         match record.kind {
             REC_CENTER => match snapshot::decode::<CenterCheckpoint>(&record.payload) {
                 Some(c) => {
                     state.center = Some(c);
+                    ledger_gap = false;
                     state.replayed += 1;
+                }
+                None => fail(&mut state, "center"),
+            },
+            REC_CENTER_DELTA => match snapshot::decode::<CenterDelta>(&record.payload) {
+                Some(delta) => {
+                    let applied = !ledger_gap
+                        && state.center.as_mut().is_some_and(|c| c.apply_delta(delta));
+                    if applied {
+                        state.replayed += 1;
+                    } else {
+                        ledger_gap = true;
+                    }
                 }
                 None => fail(&mut state, "center"),
             },
@@ -344,6 +448,7 @@ fn reduce(recovery: &Recovery) -> RecoveredState {
                     Some((c, i)) => {
                         if c.is_some() {
                             state.center = c;
+                            ledger_gap = false;
                         }
                         if i.is_some() {
                             state.ingest = i;
@@ -355,6 +460,9 @@ fn reduce(recovery: &Recovery) -> RecoveredState {
             }
             _ => fail(&mut state, "unknown"),
         }
+    }
+    if ledger_gap {
+        fail(&mut state, "center");
     }
     state
 }

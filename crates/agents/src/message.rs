@@ -7,7 +7,7 @@
 //! previous day are recognized and dropped by the recipient.
 //!
 //! Reports travel as **raw** wire-level preferences
-//! ([`RawPreference`](enki_core::validation::RawPreference)): the center
+//! ([`RawPreference`]): the center
 //! trusts nothing off the wire and classifies every report through the
 //! admission layer ([`enki_core::validation`]) before it can reach the
 //! mechanism.

@@ -1,6 +1,6 @@
 //! Protocol invariant oracle.
 //!
-//! Replays a [`Runtime`](crate::runtime::Runtime) trace and the center's
+//! Replays a [`Runtime`] trace and the center's
 //! settled records against the mechanism's safety invariants. The oracle
 //! is fault-model-agnostic: every invariant must hold under *any*
 //! schedule of drops, duplicates, reorderings, partitions, outages, and

@@ -75,6 +75,45 @@ pub struct DayHealth {
     pub day: u64,
     /// Burn-rate status per configured SLO.
     pub statuses: Vec<SloStatus>,
+    /// The closed days whose records this evaluation fed to the
+    /// monitor, in order. Each closed day is fed exactly once, in the
+    /// first evaluation after its record commits.
+    pub closed_days: Vec<u64>,
+    /// Bills those closed days settled.
+    pub bills: u64,
+}
+
+/// What the settled-day ledger feeds one SLO evaluation.
+#[derive(Debug)]
+pub(crate) struct ClosedDays {
+    pub(crate) days: Vec<u64>,
+    pub(crate) settled: u64,
+    pub(crate) missed: u64,
+    pub(crate) bills: u64,
+}
+
+impl ClosedDays {
+    /// Takes the records of days at or after `*next_day` and moves
+    /// `*next_day` past them. Days are found by number, not by ledger
+    /// position, so neither a crash nor a journal rollback that
+    /// shortens the ledger can feed a day to the monitor twice.
+    pub(crate) fn since(records: &[DayRecord], next_day: &mut u64) -> Self {
+        let fresh = &records[records.partition_point(|r| r.day < *next_day)..];
+        if let Some(last) = fresh.last() {
+            *next_day = last.day + 1;
+        }
+        let settled = fresh.iter().filter(|r| r.settlement.is_some()).count() as u64;
+        Self {
+            days: fresh.iter().map(|r| r.day).collect(),
+            settled,
+            missed: fresh.len() as u64 - settled,
+            bills: fresh
+                .iter()
+                .filter_map(|r| r.settlement.as_ref())
+                .map(|s| s.entries.len() as u64)
+                .sum(),
+        }
+    }
 }
 
 /// The simulation runtime: one center, many households, one network.
@@ -90,7 +129,8 @@ pub struct Runtime {
     recorder: Option<Recorder>,
     tick_clock: Option<(Arc<VirtualClock>, Duration)>,
     slo: Option<SloMonitor>,
-    slo_records_seen: usize,
+    /// The first day the SLO monitor has not been fed yet.
+    slo_next_day: u64,
     slo_counters: BTreeMap<String, u64>,
     day_health: Vec<DayHealth>,
 }
@@ -114,7 +154,7 @@ impl Runtime {
             recorder: None,
             tick_clock: None,
             slo: None,
-            slo_records_seen: 0,
+            slo_next_day: 0,
             slo_counters: BTreeMap::new(),
             day_health: Vec::new(),
         }
@@ -289,16 +329,7 @@ impl Runtime {
         }
         // Settlement outcomes come straight from the center's records —
         // the protocol's ground truth, immune to counter-flush lag.
-        let records = self.center.records();
-        let new_records = &records[self.slo_records_seen.min(records.len())..];
-        let settled = new_records.iter().filter(|r| r.settlement.is_some()).count() as u64;
-        let missed = new_records.len() as u64 - settled;
-        let bills: u64 = new_records
-            .iter()
-            .filter_map(|r| r.settlement.as_ref())
-            .map(|s| s.entries.len() as u64)
-            .sum();
-        self.slo_records_seen = records.len();
+        let closed = ClosedDays::since(self.center.records(), &mut self.slo_next_day);
         let exact = self.counter_delta("solve.rung.exact");
         let degraded = self.counter_delta("solve.rung.local_search")
             + self.counter_delta("solve.rung.greedy")
@@ -310,11 +341,11 @@ impl Runtime {
         monitor.record(
             "deadline_compliance",
             SloSample {
-                good: settled,
-                bad: missed,
+                good: closed.settled,
+                bad: closed.missed,
             },
         );
-        monitor.record("at_most_one_bill", SloSample { good: bills, bad: 0 });
+        monitor.record("at_most_one_bill", SloSample { good: closed.bills, bad: 0 });
         if exact + degraded > 0 {
             monitor.record(
                 "exact_rung",
@@ -330,14 +361,19 @@ impl Runtime {
                 r.gauge(&format!("slo.{}.short_burn", status.name), status.short_burn);
                 r.gauge(&format!("slo.{}.long_burn", status.name), status.long_burn);
             }
-            if missed > 0 {
+            if closed.missed > 0 {
                 let _ = r.postmortem(
                     "deadline_miss",
-                    &[("day", FieldValue::U64(day)), ("missed", FieldValue::U64(missed))],
+                    &[("day", FieldValue::U64(day)), ("missed", FieldValue::U64(closed.missed))],
                 );
             }
         }
-        self.day_health.push(DayHealth { day, statuses });
+        self.day_health.push(DayHealth {
+            day,
+            statuses,
+            closed_days: closed.days,
+            bills: closed.bills,
+        });
     }
 
     /// Exports the network's cumulative delivery and fault-injection
@@ -691,6 +727,37 @@ mod tests {
         // Readings lost while the center was down were re-sent by the
         // household retry loop before the meter deadline.
         assert!(records[0].missing_readings.is_empty());
+    }
+
+    #[test]
+    fn slo_monitor_sees_each_closed_day_once_across_a_crash() {
+        // Day 1 settles, then the center crashes before day 1 ends and
+        // stays down past the end of day 2. The evaluations during the
+        // outage must not rewind, and the one after recovery must feed
+        // only the days it has not seen.
+        let telemetry = enki_telemetry::Telemetry::new("slo-crash", 5);
+        let mut rt = build(4, NetworkConfig::default(), 5)
+            .with_center_crashes(vec![CrashSchedule {
+                crash_at: 190,
+                recover_at: 302,
+            }])
+            .with_telemetry(&telemetry);
+        rt.run_days(5, 100);
+        let days: Vec<u64> = rt.records().iter().map(|r| r.day).collect();
+        assert_eq!(days, vec![0, 1, 2, 3], "the crash delayed day 2, lost none");
+        let bills: u64 = rt
+            .records()
+            .iter()
+            .filter_map(|r| r.settlement.as_ref())
+            .map(|s| s.entries.len() as u64)
+            .sum();
+        let fed: Vec<u64> = rt
+            .day_health()
+            .iter()
+            .flat_map(|h| h.closed_days.clone())
+            .collect();
+        assert_eq!(fed, days, "each closed day reaches the monitor once");
+        assert_eq!(rt.day_health().iter().map(|h| h.bills).sum::<u64>(), bills);
     }
 
     #[test]

@@ -48,7 +48,7 @@ use serde::{Deserialize, Serialize};
 use crate::center::{CenterAgent, CenterCheckpoint, DayPlan, DayRecord};
 use crate::durable::Journal;
 use crate::message::{Envelope, Message, NodeId, Tick};
-use crate::runtime::{CrashSchedule, DayHealth, TraceEvent, TraceKind};
+use crate::runtime::{ClosedDays, CrashSchedule, DayHealth, TraceEvent, TraceKind};
 
 /// Ticks between a producer receiving its allocation and its meter
 /// reading arriving at the center.
@@ -185,7 +185,8 @@ pub struct ServeRuntime {
     /// recovery-latency SLO.
     recoveries: u64,
     slo: Option<SloMonitor>,
-    slo_records_seen: usize,
+    /// The first day the SLO monitor has not been fed yet.
+    slo_next_day: u64,
     slo_prev: SloPrev,
     day_health: Vec<DayHealth>,
 }
@@ -227,7 +228,7 @@ impl ServeRuntime {
             trace_seed: 0,
             recoveries: 0,
             slo: None,
-            slo_records_seen: 0,
+            slo_next_day: 0,
             slo_prev: SloPrev::default(),
             day_health: Vec::new(),
         }
@@ -264,7 +265,7 @@ impl ServeRuntime {
             trace_seed: 0,
             recoveries: 0,
             slo: None,
-            slo_records_seen: 0,
+            slo_next_day: 0,
             slo_prev: SloPrev::default(),
             day_health: Vec::new(),
         }
@@ -467,16 +468,7 @@ impl ServeRuntime {
         if self.slo.is_none() {
             return;
         }
-        let records = self.center.records();
-        let new_records = &records[self.slo_records_seen.min(records.len())..];
-        let settled = new_records.iter().filter(|r| r.settlement.is_some()).count() as u64;
-        let missed = new_records.len() as u64 - settled;
-        let bills: u64 = new_records
-            .iter()
-            .filter_map(|r| r.settlement.as_ref())
-            .map(|s| s.entries.len() as u64)
-            .sum();
-        self.slo_records_seen = records.len();
+        let closed = ClosedDays::since(self.center.records(), &mut self.slo_next_day);
         let stats = self.front.stats();
         let shed_total = stats.shed.total();
         let admitted_delta = stats.admitted.saturating_sub(self.slo_prev.admitted);
@@ -496,11 +488,11 @@ impl ServeRuntime {
         monitor.record(
             "deadline_compliance",
             SloSample {
-                good: settled,
-                bad: missed,
+                good: closed.settled,
+                bad: closed.missed,
             },
         );
-        monitor.record("at_most_one_bill", SloSample { good: bills, bad: 0 });
+        monitor.record("at_most_one_bill", SloSample { good: closed.bills, bad: 0 });
         if admitted_delta + shed_delta > 0 {
             monitor.record(
                 "shed_rate",
@@ -525,14 +517,19 @@ impl ServeRuntime {
                 r.gauge(&format!("slo.{}.short_burn", status.name), status.short_burn);
                 r.gauge(&format!("slo.{}.long_burn", status.name), status.long_burn);
             }
-            if missed > 0 {
+            if closed.missed > 0 {
                 let _ = r.postmortem(
                     "deadline_miss",
-                    &[("day", FieldValue::U64(day)), ("missed", FieldValue::U64(missed))],
+                    &[("day", FieldValue::U64(day)), ("missed", FieldValue::U64(closed.missed))],
                 );
             }
         }
-        self.day_health.push(DayHealth { day, statuses });
+        self.day_health.push(DayHealth {
+            day,
+            statuses,
+            closed_days: closed.days,
+            bills: closed.bills,
+        });
     }
 
     fn record(&mut self, at: Tick, kind: TraceKind, envelope: Envelope) {
@@ -644,18 +641,17 @@ impl ServeRuntime {
     /// storage is treated as crashed and the tick's outputs must not
     /// be released.
     fn journal_commits(&mut self) -> bool {
-        let center_commit = (self.journal.is_some()
-            && self.center.commit_seq() != self.logged_commit_seq)
-            .then(|| self.center.snapshot());
-        if let (Some(snapshot), Some(journal)) = (center_commit, self.journal.as_mut()) {
-            if let Err(e) = journal.log_center(&snapshot) {
-                self.recovery_errors
-                    .push(format!("journal center commit failed: {e}"));
-                self.dump_postmortem("journal_write_failed");
-                self.crash_now();
-                return false;
+        if let Some(journal) = self.journal.as_mut() {
+            if self.center.commit_seq() != self.logged_commit_seq {
+                if let Err(e) = journal.log_center(self.center.checkpoint()) {
+                    self.recovery_errors
+                        .push(format!("journal center commit failed: {e}"));
+                    self.dump_postmortem("journal_write_failed");
+                    self.crash_now();
+                    return false;
+                }
+                self.logged_commit_seq = self.center.commit_seq();
             }
-            self.logged_commit_seq = self.center.commit_seq();
         }
         if let Some(snapshot) = self.front.snapshot_if_dirty() {
             if let Some(journal) = self.journal.as_mut() {
@@ -941,6 +937,37 @@ mod tests {
             ));
         }
         rt
+    }
+
+    #[test]
+    fn slo_monitor_sees_each_closed_day_once_across_a_crash() {
+        // Day 1 settles, then the process crashes before day 1 ends and
+        // stays down past the end of day 2. The evaluations during the
+        // outage must not rewind, and the one after recovery must feed
+        // only the days it has not seen.
+        let telemetry = Telemetry::new("serve-slo-crash", 5);
+        let mut rt = runtime(4, IngestConfig::default(), 5)
+            .with_crashes(vec![CrashSchedule {
+                crash_at: 190,
+                recover_at: 302,
+            }])
+            .with_telemetry(&telemetry);
+        rt.run_days(5, 100);
+        let days: Vec<u64> = rt.records().iter().map(|r| r.day).collect();
+        assert_eq!(days, vec![0, 1, 2, 3], "the crash delayed day 2, lost none");
+        let bills: u64 = rt
+            .records()
+            .iter()
+            .filter_map(|r| r.settlement.as_ref())
+            .map(|s| s.entries.len() as u64)
+            .sum();
+        let fed: Vec<u64> = rt
+            .day_health()
+            .iter()
+            .flat_map(|h| h.closed_days.clone())
+            .collect();
+        assert_eq!(fed, days, "each closed day reaches the monitor once");
+        assert_eq!(rt.day_health().iter().map(|h| h.bills).sum::<u64>(), bills);
     }
 
     #[test]

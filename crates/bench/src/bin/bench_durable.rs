@@ -6,7 +6,9 @@
 //! checkpoint reduction + the mandatory oracle audit) is timed
 //! repeatedly on the finished log. One row per log length, best of
 //! [`REPS`] timings, so the sweep shows how recovery cost scales with
-//! history — compaction should keep it near-flat.
+//! history — compaction should keep it near-flat. Each row also gives
+//! the median journal append of the run: center commits are written as
+//! deltas of O(roster) bytes, so it stays flat as days accumulate.
 //!
 //! **Crash-point matrix.** The rehearsal run's storage-operation log
 //! seeds one scenario per operation: a plain crash at every op, a torn
@@ -73,6 +75,9 @@ struct RecoveryRow {
     replayed: u64,
     /// WAL compactions during the run.
     compactions: u64,
+    /// Median bytes per storage append over the run (center commits,
+    /// ingest snapshots and compactions alike).
+    median_append_bytes: u64,
     /// Best replay + reduce + audit latency, microseconds.
     recovery_us: f64,
 }
@@ -192,13 +197,17 @@ fn recovery_row(days: u64, seed: u64, clock: &MonotonicClock) -> RecoveryRow {
     let (recovery_us, replayed) = time_recovery(&mut rt, clock);
     let journal = rt.journal().expect("journal attached");
     let stats = journal.stats();
-    let log_bytes: u64 = journal
-        .fault_storage()
-        .expect("fault storage backend")
-        .durable_image()
-        .values()
-        .map(|b| b.len() as u64)
-        .sum();
+    let storage = journal.fault_storage().expect("fault storage backend");
+    let log_bytes: u64 = storage.durable_image().values().map(|b| b.len() as u64).sum();
+    let mut appends: Vec<u64> = storage
+        .op_log()
+        .iter()
+        .filter_map(|op| match op.kind {
+            OpKind::Append(bytes) => Some(bytes as u64),
+            _ => None,
+        })
+        .collect();
+    appends.sort_unstable();
     RecoveryRow {
         days,
         records: rt.records().len() as u64,
@@ -206,6 +215,7 @@ fn recovery_row(days: u64, seed: u64, clock: &MonotonicClock) -> RecoveryRow {
         log_bytes,
         replayed,
         compactions: stats.compactions,
+        median_append_bytes: appends.get(appends.len() / 2).copied().unwrap_or(0),
         recovery_us,
     }
 }
@@ -316,12 +326,13 @@ fn main() -> Result<(), Box<dyn std::error::Error>> {
                 r.log_bytes.to_string(),
                 r.replayed.to_string(),
                 r.compactions.to_string(),
+                r.median_append_bytes.to_string(),
                 format!("{:.0}", r.recovery_us),
             ]
         })
         .collect();
     print_table(
-        &["days", "records", "segs", "bytes", "replayed", "compact", "us"],
+        &["days", "records", "segs", "bytes", "replayed", "compact", "append p50", "us"],
         &table,
     );
 

@@ -4,7 +4,7 @@
 //! queue → center) for a few days under a virtual clock, so every stage
 //! of the report lifecycle — `producer.report`, `ingest.enqueue`,
 //! `center.admit`, `center.settle`, `center.bill` — is witnessed by a
-//! span carrying derived [`TraceContext`](enki_telemetry::TraceContext)
+//! span carrying derived [`TraceContext`]
 //! ids. The exported JSONL is byte-deterministic in the seed.
 //!
 //! Artifact: `target/experiments/obs_trace.jsonl`, consumed by

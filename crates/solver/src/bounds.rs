@@ -820,9 +820,9 @@ mod tests {
                 forced.add_window_times(b, e, d, times);
                 mask |= hours_mask(b, e);
             }
-            for h in 0..HOURS_PER_DAY {
+            for (h, count) in counts.iter_mut().enumerate() {
                 if mask & (1 << h) != 0 && rng.random_range(0..3u8) == 0 {
-                    counts[h] = rng.random_range(0..4u32);
+                    *count = rng.random_range(0..4u32);
                 }
             }
             let mut loads = [0.0; HOURS_PER_DAY];

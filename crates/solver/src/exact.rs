@@ -515,8 +515,8 @@ fn relaxation_prices(
                 }
             }
             let weight = f64::from(class.size());
-            for h in b + best_d..b + best_d + v {
-                s[h] += weight;
+            for sh in &mut s[b + best_d..b + best_d + v] {
+                *sh += weight;
             }
         }
         // Linearized gap ⟨∇f, s − x⟩ ≤ 0; small means near-optimal.

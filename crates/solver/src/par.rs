@@ -12,9 +12,9 @@
 //!
 //! 1. **Enumerate** (sequential, cheap): walk the class-slot tree to the
 //!    instance's split slot — a class boundary chosen in
-//!    [`BranchAndBound::prepare`] as a pure function of the instance —
+//!    `BranchAndBound::prepare` as a pure function of the instance —
 //!    with the incumbent frozen, suspending every surviving subtree as a
-//!    [`TaskSeed`] (a class-vector prefix) in depth-first visit order.
+//!    `TaskSeed` (a class-vector prefix) in depth-first visit order.
 //!    Because freezing the incumbent can only *weaken* pruning, the
 //!    seeds are a superset of the subtrees the true search visits.
 //! 2. **Speculate** (parallel): the work-stealing pool runs each seed's
