@@ -97,6 +97,11 @@ impl HouseholdAgent {
     /// Creates an agent. Retry jitter is seeded from the household id, so
     /// a roster of agents is deterministic as a whole.
     #[must_use]
+    #[expect(
+        clippy::expect_used,
+        reason = "expects on compile-time constants (smoothing 0.3, deferment 0) inside \
+                  the infallible agent tick; not input-reachable"
+    )]
     pub fn new(
         id: HouseholdId,
         profile: UsageProfile,
@@ -295,6 +300,11 @@ impl HouseholdAgent {
     /// Advances local time: retries the report (with backoff) while
     /// unallocated, consumes once the reporting phase ends, and retries
     /// the meter reading until billed.
+    #[expect(
+        clippy::expect_used,
+        reason = "expects on compile-time constants (smoothing 0.3, deferment 0) inside \
+                  the infallible agent tick; not input-reachable"
+    )]
     pub fn on_tick(&mut self, now: Tick, outbox: &mut Vec<Envelope>) {
         let Some(state) = self.state else {
             return;

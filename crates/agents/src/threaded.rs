@@ -30,6 +30,10 @@ use enki_core::validation::{RawPreference, RawReport};
 use enki_sim::behavior::{consume, ReportStrategy};
 use enki_sim::neighborhood::TruthSource;
 use enki_sim::profile::UsageProfile;
+#[expect(
+    clippy::disallowed_types,
+    reason = "threaded.rs is the deployment entry point that runs households on OS threads"
+)]
 use parking_lot::Mutex;
 use rand::rngs::StdRng;
 use rand::{RngExt, SeedableRng};
@@ -151,6 +155,11 @@ pub fn run_threaded_days_traced(
 /// Same contract as [`run_threaded_days`]; a pipeline failure degrades to
 /// the greedy allocation rather than failing the day.
 #[must_use = "dropping the outcome discards every simulated day and any deployment fault"]
+#[expect(
+    clippy::disallowed_methods,
+    clippy::disallowed_types,
+    reason = "threaded.rs is the deployment entry point that runs households on OS threads"
+)]
 pub fn run_threaded_days_pipelined(
     enki: Enki,
     households: Vec<ThreadedHousehold>,
@@ -401,10 +410,8 @@ pub fn run_threaded_days_pipelined(
             }
             Ok(outcome)
         };
-        #[allow(clippy::redundant_closure_call)]
-        {
-            *result.lock() = run_center();
-        }
+        let outcome = run_center();
+        *result.lock() = outcome;
         drop(to_household); // hang up: household threads exit their loops
     });
 

@@ -7,8 +7,6 @@
 //! pinned reports carry minimal flexibility scores, the exact trade-off
 //! the mechanism's incentives create.
 
-#![deny(unsafe_code)]
-
 use enki_bench::{print_table, write_json, RunArgs};
 use enki_core::prelude::*;
 use enki_sim::prelude::*;

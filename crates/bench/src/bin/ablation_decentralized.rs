@@ -6,8 +6,6 @@
 //! allocation, plus the message/round overhead that a real deployment
 //! would pay.
 
-#![deny(unsafe_code)]
-
 use enki_agents::decentralized::run_decentralized;
 use enki_bench::{mean_ci, print_table, write_json, RunArgs};
 use enki_core::allocation::greedy_allocation;

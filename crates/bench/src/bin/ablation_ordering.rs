@@ -7,8 +7,6 @@
 //! paper's rule should be (weakly) best: placing rigid households first
 //! leaves the flexible ones to fill the valleys.
 
-#![deny(unsafe_code)]
-
 use enki_bench::{mean_ci, print_table, write_json, RunArgs};
 use enki_core::allocation::{greedy_allocation_with_policy, OrderingPolicy};
 use enki_core::household::Preference;

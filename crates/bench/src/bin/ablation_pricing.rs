@@ -8,8 +8,6 @@
 //! price discriminates between every pair of loads while the two-step
 //! price is indifferent below its threshold.
 
-#![deny(unsafe_code)]
-
 use enki_bench::{mean_ci, print_table, write_json, RunArgs};
 use enki_core::allocation::greedy_allocation;
 use enki_core::household::Preference;

@@ -6,8 +6,6 @@
 //! and reports how the payment *spread* between the most and least
 //! flexible household responds to ξ.
 
-#![deny(unsafe_code)]
-
 use enki_bench::{print_table, write_json, RunArgs};
 use enki_core::prelude::*;
 use enki_sim::prelude::{ProfileConfig, UsageProfile};

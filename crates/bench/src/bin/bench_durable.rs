@@ -30,8 +30,6 @@
 //! baseline, breached the absolute [`RECOVERY_CEILING_US`], or any
 //! matrix scenario misbehaved.
 
-#![deny(unsafe_code)]
-
 use std::fs;
 use std::path::PathBuf;
 

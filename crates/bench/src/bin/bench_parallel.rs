@@ -26,13 +26,11 @@
 //! exact rung (enumerate / speculate / validate / bound) for each cell
 //! that ran the speculative driver.
 
-#![deny(unsafe_code)]
-
 use std::fs;
 use std::path::PathBuf;
 use std::time::Duration;
 
-use enki_bench::{experiments_dir, print_table, RunArgs};
+use enki_bench::{experiments_dir, print_table, speedup, RunArgs};
 use enki_core::config::EnkiConfig;
 use enki_core::household::{HouseholdId, Report};
 use enki_sim::profile::{ProfileConfig, UsageProfile};
@@ -58,11 +56,6 @@ const GATE_FACTOR: f64 = 1.25;
 /// when the fresh run exceeds *both* the relative factor and this floor.
 const GATE_FLOOR_MS: f64 = 25.0;
 
-/// Wall-time floor below which the speedup column is reported as `null`:
-/// cells this fast measure pool spin-up noise, not scaling. Applies when
-/// either the cell itself or its single-thread base is under the floor.
-const SPEEDUP_WALL_FLOOR_MS: f64 = 5.0;
-
 /// One `BENCH_parallel.json` row: the pipeline at one (N, threads).
 #[derive(Debug, Serialize, Deserialize)]
 struct ParallelRow {
@@ -73,7 +66,7 @@ struct ParallelRow {
     /// Minimum wall time over the measured repetitions, milliseconds.
     wall_ms: f64,
     /// Single-thread wall time at this N over this row's wall time;
-    /// `null` when either wall is under [`SPEEDUP_WALL_FLOOR_MS`] (the
+    /// `null` when either wall is under [`enki_bench::SPEEDUP_WALL_FLOOR_MS`] (the
     /// division would measure pool spin-up noise, not scaling).
     speedup: Option<f64>,
     /// Ladder rung that answered.
@@ -205,8 +198,7 @@ fn main() -> Result<(), Box<dyn std::error::Error>> {
                 n,
                 threads,
                 wall_ms,
-                speedup: (wall_ms >= SPEEDUP_WALL_FLOOR_MS && base_ms >= SPEEDUP_WALL_FLOOR_MS)
-                    .then(|| base_ms / wall_ms),
+                speedup: speedup(base_ms, wall_ms),
                 rung: outcome.rung.key().to_string(),
                 proven_optimal: outcome.proven_optimal,
                 nodes: exact.map_or(0, |s| s.nodes),

@@ -28,8 +28,6 @@
 //! fell below the floor or regressed more than 25% against the
 //! baseline.
 
-#![deny(unsafe_code)]
-
 use std::fs;
 use std::path::PathBuf;
 use std::time::Duration;

@@ -14,13 +14,11 @@
 //! * self-validates the trace against the `enki-telemetry/1` schema and
 //!   exits nonzero if it fails — CI treats that as a broken build.
 
-#![deny(unsafe_code)]
-
 use std::fs;
 use std::path::PathBuf;
 use std::time::Duration;
 
-use enki_bench::{experiments_dir, print_table, RunArgs};
+use enki_bench::{experiments_dir, print_table, speedup, RunArgs};
 use enki_sim::prelude::{run_social_welfare_with, SocialWelfareConfig};
 use enki_telemetry::{to_jsonl, validate_jsonl, Clock, MonotonicClock, Telemetry};
 use serde::Serialize;
@@ -43,7 +41,8 @@ struct BenchRow {
     /// Sequential wall time over parallel wall time at this N
     /// (`wall_ms(threads=1) / wall_ms`). Outcomes are bit-identical at
     /// every thread count, so this isolates scheduling, not quality.
-    speedup: f64,
+    /// `null` when either wall is under [`enki_bench::SPEEDUP_WALL_FLOOR_MS`].
+    speedup: Option<f64>,
     /// Most degraded ladder rung any day ended on.
     rung: String,
     /// Days per rung, as `(rung key, days)` pairs.
@@ -116,7 +115,7 @@ fn main() -> Result<(), Box<dyn std::error::Error>> {
             days,
             wall_ms,
             threads,
-            speedup: if wall_ms > 0.0 { sequential_ms / wall_ms } else { 1.0 },
+            speedup: speedup(sequential_ms, wall_ms),
             rung: (*rung).to_string(),
             rungs: row.rungs.clone(),
             enki_par: row.enki_par.mean,
@@ -133,7 +132,8 @@ fn main() -> Result<(), Box<dyn std::error::Error>> {
                 r.n.to_string(),
                 format!("{:.0}", r.wall_ms),
                 r.threads.to_string(),
-                format!("{:.2}", r.speedup),
+                r.speedup
+                    .map_or_else(|| "—".to_string(), |s| format!("{s:.2}")),
                 r.rung.clone(),
                 format!("{:.3}", r.enki_par),
                 format!("{:.3}", r.optimal_par),

@@ -16,8 +16,6 @@
 //! Both climb over the first days and then plateau — the learning
 //! transient the paper's day-ahead design presumes away.
 
-#![deny(unsafe_code)]
-
 use enki_bench::{print_table, write_json, RunArgs};
 use enki_core::prelude::*;
 use enki_sim::prelude::*;

@@ -5,8 +5,6 @@
 //! never causes the peak; B and C (placed first, ties broken randomly)
 //! split the evening window and overlap for exactly one hour.
 
-#![deny(unsafe_code)]
-
 use enki_bench::{print_table, write_json, RunArgs};
 use enki_core::prelude::*;
 use rand::rngs::StdRng;

@@ -5,8 +5,6 @@
 //! defection score is positive, its realized flexibility zero, and its
 //! payment strictly higher than A's.
 
-#![deny(unsafe_code)]
-
 use enki_bench::{print_table, write_json, RunArgs};
 use enki_core::prelude::*;
 use rand::rngs::StdRng;

@@ -4,8 +4,6 @@
 //! truthfully reports its wide interval. Both schedulers' PARs are close —
 //! the paper's point is that greedy loses almost nothing.
 
-#![deny(unsafe_code)]
-
 use enki_bench::{load_or_run_social_welfare, mean_ci, print_table, write_json, RunArgs};
 
 fn main() -> Result<(), Box<dyn std::error::Error>> {

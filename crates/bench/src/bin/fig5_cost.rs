@@ -3,8 +3,6 @@
 //! Same §VI-A sweep as Figure 4; the metric is the quadratic wholesale
 //! cost `κ`. Greedy tracks the optimum closely at every population size.
 
-#![deny(unsafe_code)]
-
 use enki_bench::{load_or_run_social_welfare, mean_ci, print_table, write_json, RunArgs};
 
 fn main() -> Result<(), Box<dyn std::error::Error>> {

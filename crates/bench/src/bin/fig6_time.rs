@@ -7,8 +7,6 @@
 //! configured anytime budget (`optimal_proven` counts days solved to
 //! proven optimality within it).
 
-#![deny(unsafe_code)]
-
 use enki_bench::{load_or_run_social_welfare, mean_ci, print_table, write_json, RunArgs};
 
 fn main() -> Result<(), Box<dyn std::error::Error>> {

@@ -6,8 +6,6 @@
 //! is averaged over 10 repetitions. Weak Bayesian incentive compatibility
 //! predicts the best response at the truthful `(18, 20)`.
 
-#![deny(unsafe_code)]
-
 use enki_bench::{print_table, write_json, RunArgs};
 use enki_sim::prelude::{run_incentive, IncentiveConfig};
 

@@ -5,8 +5,6 @@
 //! the one-sided test asks whether subjects select their exact true
 //! interval more often in Cooperate than in Initial (paper: p = 0.0143).
 
-#![deny(unsafe_code)]
-
 use enki_bench::{print_table, write_json, RunArgs};
 use enki_study::prelude::*;
 

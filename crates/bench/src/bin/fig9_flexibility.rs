@@ -5,8 +5,6 @@
 //! The paper's pattern: P7/P8 defect often while learning, then stick to
 //! their exact true interval (ratio 1); the intermediate average climbs.
 
-#![deny(unsafe_code)]
-
 use enki_bench::{print_table, write_json, RunArgs};
 use enki_study::prelude::*;
 

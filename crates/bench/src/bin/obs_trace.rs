@@ -11,8 +11,6 @@
 //! `enki-obs validate/tree/causal/follow/critical` (see the obs-smoke
 //! CI job and EXPERIMENTS.md).
 
-#![deny(unsafe_code)]
-
 use std::fs;
 
 use enki_agents::prelude::*;

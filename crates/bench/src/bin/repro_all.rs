@@ -10,8 +10,6 @@
 //! binary's wall time and (on Linux, via `/proc/<pid>/status`) its peak
 //! resident set size.
 
-#![deny(unsafe_code)]
-
 use std::process::Command;
 use std::time::Duration;
 
@@ -96,7 +94,10 @@ fn main() -> Result<(), Box<dyn std::error::Error>> {
                 name.clone(),
                 format!("{:.2}", elapsed.as_secs_f64()),
                 peak.map_or_else(|| "-".to_string(), |kib| format!("{:.1}", {
-                    #[allow(clippy::cast_precision_loss)]
+                    #[expect(
+                        clippy::cast_precision_loss,
+                        reason = "a peak RSS in KiB stays far below 2^52, where f64 is exact"
+                    )]
                     let mib = kib as f64 / 1024.0;
                     mib
                 })),

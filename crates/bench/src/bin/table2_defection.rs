@@ -4,8 +4,6 @@
 //! The human subjects are replaced by the calibrated behaviour models of
 //! `enki-study` (see DESIGN.md, substitution 2).
 
-#![deny(unsafe_code)]
-
 use enki_bench::{print_table, write_json, RunArgs};
 use enki_study::prelude::*;
 

@@ -5,8 +5,6 @@
 //! Sample 2 the random-defection null (half the stage's rounds). The paper
 //! finds Overall/Defect/Cooperate significant and Initial marginal.
 
-#![deny(unsafe_code)]
-
 use enki_bench::{print_table, write_json, RunArgs};
 use enki_study::prelude::*;
 

@@ -5,8 +5,6 @@
 //! The paper's key observation: Treatment 2 subjects barely defect once
 //! every co-player cooperates (Cooperate stage).
 
-#![deny(unsafe_code)]
-
 use enki_bench::{print_table, write_json, RunArgs};
 use enki_study::prelude::*;
 

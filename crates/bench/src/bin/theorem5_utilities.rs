@@ -8,8 +8,6 @@
 //! equal-consumption premise does not hold on this heterogeneous
 //! workload; its controlled check is an integration test).
 
-#![deny(unsafe_code)]
-
 use enki_bench::{mean_ci, print_table, write_json, RunArgs};
 use enki_core::prelude::*;
 use enki_sim::prelude::*;

@@ -31,7 +31,6 @@
 //! binaries share one §VI-A sweep, cached on disk so the sweep runs once.
 
 #![warn(missing_docs)]
-#![deny(unsafe_code)]
 #![warn(missing_debug_implementations)]
 
 use std::fs;
@@ -41,6 +40,18 @@ use std::time::Duration;
 use enki_sim::prelude::{run_social_welfare, SocialWelfareConfig, SocialWelfareRow};
 use serde::de::DeserializeOwned;
 use serde::Serialize;
+
+/// Wall-time floor below which a speedup is reported as `null`: cells
+/// this fast measure pool spin-up noise, not scaling.
+pub const SPEEDUP_WALL_FLOOR_MS: f64 = 5.0;
+
+/// `base_ms / wall_ms`, or `None` when either wall time is under
+/// [`SPEEDUP_WALL_FLOOR_MS`].
+#[must_use]
+pub fn speedup(base_ms: f64, wall_ms: f64) -> Option<f64> {
+    (base_ms >= SPEEDUP_WALL_FLOOR_MS && wall_ms >= SPEEDUP_WALL_FLOOR_MS)
+        .then(|| base_ms / wall_ms)
+}
 
 /// Command-line options shared by every reproduction binary.
 #[derive(Debug, Clone, Copy, PartialEq, Eq)]

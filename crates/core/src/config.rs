@@ -66,6 +66,11 @@ impl EnkiConfig {
     /// The quadratic pricing rule `P_h(l) = σ·l²` this configuration
     /// implies.
     #[must_use]
+    #[expect(
+        clippy::expect_used,
+        reason = "sigma was range-checked when the EnkiConfig was built, the only \
+                  constructor path; pricing() is infallible by that invariant"
+    )]
     pub fn pricing(&self) -> QuadraticPricing {
         QuadraticPricing::new(self.sigma).expect("validated at construction")
     }

@@ -154,6 +154,11 @@ impl Preference {
     }
 
     /// Iterator over all feasible placement windows, each of length `v`.
+    #[expect(
+        clippy::expect_used,
+        reason = "window arithmetic on an already-validated Preference: feasible starts \
+                  and deferments within slack cannot leave the day"
+    )]
     pub fn feasible_windows(&self) -> impl Iterator<Item = Interval> + '_ {
         let duration = self.duration;
         self.feasible_starts().map(move |s| {
@@ -169,6 +174,11 @@ impl Preference {
     /// Returns [`Error::WindowOutsideInterval`] when `d` exceeds
     /// [`slack`](Preference::slack).
     #[must_use = "dropping the Result loses the shifted window and hides an infeasible deferment"]
+    #[expect(
+        clippy::expect_used,
+        reason = "window arithmetic on an already-validated Preference: feasible starts \
+                  and deferments within slack cannot leave the day"
+    )]
     pub fn window_at_deferment(&self, d: u8) -> Result<Interval> {
         if d > self.slack() {
             let window = Interval::with_duration(self.begin().saturating_add(d), self.duration)
@@ -214,6 +224,11 @@ impl Preference {
     /// and close to his allocation" (§VII-B). If `target` already satisfies
     /// the preference it is returned unchanged.
     #[must_use]
+    #[expect(
+        clippy::expect_used,
+        reason = "window arithmetic on an already-validated Preference: feasible starts \
+                  and deferments within slack cannot leave the day"
+    )]
     pub fn closest_window(&self, target: Interval) -> Interval {
         if self.validate_window(target).is_ok() {
             return target;

@@ -68,7 +68,23 @@
 //! * [`appliances`] — the §III multi-appliance extension: several shiftable
 //!   jobs plus a nonshiftable base load per household.
 
-#![deny(unsafe_code)]
+// Mechanism crate: no panics and no silently truncating casts outside
+// test code (a panic or a wrapped bill mid-settlement voids Theorem 1).
+// Each sanctioned exception carries an `#[expect(.., reason)]`.
+#![cfg_attr(
+    not(test),
+    deny(
+        clippy::unwrap_used,
+        clippy::expect_used,
+        clippy::panic,
+        clippy::todo,
+        clippy::unimplemented,
+        clippy::unreachable,
+        clippy::cast_possible_truncation,
+        clippy::cast_possible_wrap,
+        clippy::cast_sign_loss
+    )
+)]
 #![warn(missing_docs)]
 #![warn(missing_debug_implementations)]
 

@@ -168,6 +168,10 @@ impl LoadProfile {
     }
 
     /// Iterator over `(hour, load)` pairs.
+    #[expect(
+        clippy::cast_possible_truncation,
+        reason = "h indexes the [f64; HOURS_PER_DAY] array, so h < HOURS_PER_DAY fits u8"
+    )]
     pub fn iter(&self) -> impl Iterator<Item = (u8, f64)> + '_ {
         self.hours
             .iter()
@@ -184,6 +188,10 @@ impl LoadProfile {
     /// The hour with the maximum load (first one on ties), or `None` when
     /// the profile is all-zero.
     #[must_use]
+    #[expect(
+        clippy::cast_possible_truncation,
+        reason = "h indexes the [f64; HOURS_PER_DAY] array, so h < HOURS_PER_DAY fits u8"
+    )]
     pub fn peak_hour(&self) -> Option<u8> {
         let peak = self.peak();
         if crate::float::approx_zero(peak) {

@@ -377,7 +377,11 @@ pub fn admit_preference(raw: RawPreference) -> (Verdict, Option<Preference>) {
 
     // All three values are now integers in [0, 24] with gb < ge and
     // 1 <= v <= ge - gb, so the cast and construction cannot fail.
-    #[allow(clippy::cast_possible_truncation, clippy::cast_sign_loss)]
+    #[expect(
+        clippy::cast_possible_truncation,
+        clippy::cast_sign_loss,
+        reason = "gb, ge and v are integers in [0, 24] here, as checked above"
+    )]
     let pref = match Preference::new(gb as u8, ge as u8, v as u8) {
         Ok(p) => p,
         // Defensive: if the arithmetic above ever leaves an

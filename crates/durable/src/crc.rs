@@ -12,6 +12,10 @@ const POLY: u32 = 0xEDB8_8320;
 /// 256-entry lookup table, one step of the shift register per byte.
 const TABLE: [u32; 256] = build_table();
 
+#[expect(
+    clippy::cast_possible_truncation,
+    reason = "the table index i < 256 fits u32"
+)]
 const fn build_table() -> [u32; 256] {
     let mut table = [0u32; 256];
     let mut i = 0;

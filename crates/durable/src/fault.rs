@@ -286,6 +286,10 @@ impl FaultStorage {
         self.segments.retain(|_, s| !s.durable.is_empty());
     }
 
+    #[expect(
+        clippy::cast_possible_truncation,
+        reason = "target < len, and len is the length of a Vec, so it fits usize"
+    )]
     fn flip_bit(&mut self, rot: BitRot) {
         let total: u64 = self.segments.values().map(|s| s.durable.len() as u64).sum();
         if total == 0 {

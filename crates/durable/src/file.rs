@@ -3,8 +3,8 @@
 //!
 //! Everything above this file is deterministic and fs-free; lint rule
 //! R8 enforces that no other module in the mechanism crates touches
-//! `std::fs` (this file is path-allowlisted, exactly like the thread
-//! boundary in `serve/src/edge.rs`). Keeping the boundary to one
+//! `std::fs` (this file is path-allowlisted, as the thread boundary in
+//! `serve/src/edge.rs` is exempt from the clippy thread and lock bans). Keeping the boundary to one
 //! module means the fault model in [`crate::fault::FaultStorage`]
 //! only has to imitate the behaviors visible through the [`Storage`]
 //! trait, and every consumer above can be chaos-tested without a

@@ -16,29 +16,16 @@
 
 use crate::lexer::{Token, TokenKind};
 
-/// Span of one attribute group `#[ … ]` / `#![ … ]` in the token
-/// stream, inclusive of the delimiters.
-#[derive(Debug, Clone, Copy, PartialEq, Eq)]
-pub struct AttrSpan {
-    /// Index of the `#` token.
-    pub start: usize,
-    /// Index of the closing `]` token.
-    pub end: usize,
-    /// Whether this is an inner attribute (`#![ … ]`).
-    pub inner: bool,
-}
-
 /// The analyzed context for one file's token stream.
 #[derive(Debug)]
 pub struct FileContext {
     /// `mask[i]` — token `i` is inside test-only code.
     pub test_mask: Vec<bool>,
-    /// Every attribute group, in source order.
-    pub attrs: Vec<AttrSpan>,
 }
 
-fn attr_marks_test(tokens: &[Token], span: AttrSpan) -> bool {
-    let body = &tokens[span.start..=span.end];
+/// Whether one attribute group (`#[ … ]`, delimiters included) marks
+/// the next item as test-only.
+fn attr_marks_test(body: &[Token]) -> bool {
     let idents: Vec<&str> = body
         .iter()
         .filter(|t| t.kind == TokenKind::Ident)
@@ -51,11 +38,10 @@ fn attr_marks_test(tokens: &[Token], span: AttrSpan) -> bool {
     }
 }
 
-/// Analyzes a token stream: attribute spans and the test-region mask.
+/// Analyzes a token stream into its test-region mask.
 #[must_use]
 pub fn analyze(tokens: &[Token]) -> FileContext {
     let mut test_mask = vec![false; tokens.len()];
-    let mut attrs = Vec::new();
 
     // Stack of booleans, one per open brace: is the region test-only?
     let mut braces: Vec<bool> = Vec::new();
@@ -90,9 +76,7 @@ pub fn analyze(tokens: &[Token]) -> FileContext {
                     j += 1;
                 }
                 if let Some(end) = end {
-                    let span = AttrSpan { start: i, end, inner };
-                    attrs.push(span);
-                    if !inner && attr_marks_test(tokens, span) {
+                    if !inner && attr_marks_test(&tokens[i..=end]) {
                         pending_test = true;
                     }
                     for m in &mut test_mask[i..=end] {
@@ -132,26 +116,7 @@ pub fn analyze(tokens: &[Token]) -> FileContext {
         i += 1;
     }
 
-    FileContext { test_mask, attrs }
-}
-
-/// Walks backwards from token index `at` (the start of an item, e.g.
-/// its `pub` keyword) over any directly preceding outer attribute
-/// groups and returns their spans, innermost-first.
-#[must_use]
-pub fn attrs_before(ctx: &FileContext, at: usize) -> Vec<AttrSpan> {
-    let mut found = Vec::new();
-    let mut cursor = at;
-    while let Some(attr) = ctx
-        .attrs
-        .iter()
-        .rev()
-        .find(|a| !a.inner && a.end + 1 == cursor)
-    {
-        found.push(*attr);
-        cursor = attr.start;
-    }
-    found
+    FileContext { test_mask }
 }
 
 #[cfg(test)]
@@ -214,13 +179,5 @@ mod tests {
     fn non_test_cfg_is_not_masked() {
         let (toks, ctx) = mask_for("#[cfg(unix)]\nfn prod() { work(); }");
         assert!(!ident_masked(&toks, &ctx, "work"));
-    }
-
-    #[test]
-    fn attrs_before_finds_the_whole_stack() {
-        let (toks, ctx) = mask_for("#[must_use]\n#[inline]\npub fn f() -> u32 { 1 }");
-        let at = toks.iter().position(|t| t.is_ident("pub")).unwrap();
-        let stack = attrs_before(&ctx, at);
-        assert_eq!(stack.len(), 2);
     }
 }

@@ -2,7 +2,6 @@
 
 use std::path::{Path, PathBuf};
 
-use crate::baseline;
 use crate::context::analyze;
 use crate::graph;
 use crate::lexer::tokenize;
@@ -15,17 +14,8 @@ use crate::taint;
 /// fixtures (which violate rules on purpose).
 const SKIP_DIRS: &[&str] = &["target", "vendor", ".git", "fixtures", "node_modules"];
 
-/// Configuration for one `check` run.
-#[derive(Debug, Clone)]
-pub struct CheckConfig {
-    /// Workspace root to scan.
-    pub root: PathBuf,
-    /// Baseline file; `None` disables suppression entirely.
-    pub baseline: Option<PathBuf>,
-}
-
 /// Classifies one source file: which crate it belongs to, whether it
-/// is a test target or a crate root, and its analyzed token stream.
+/// is a test target, and its analyzed token stream.
 #[must_use]
 pub fn classify(rel_path: &str, source: &str) -> SourceFile {
     let tokens = tokenize(source);
@@ -37,14 +27,10 @@ pub fn classify(rel_path: &str, source: &str) -> SourceFile {
     let is_test_target = rel_path
         .split('/')
         .any(|c| c == "tests" || c == "benches" || c == "examples");
-    let is_crate_root = rel_path.ends_with("src/lib.rs")
-        || rel_path.ends_with("src/main.rs")
-        || (rel_path.contains("src/bin/") && rel_path.ends_with(".rs"));
     SourceFile {
         rel_path: rel_path.to_string(),
         crate_dir,
         is_test_target,
-        is_crate_root,
         tokens,
         ctx,
     }
@@ -86,18 +72,17 @@ pub fn discover(root: &Path) -> Result<Vec<PathBuf>, String> {
     Ok(files)
 }
 
-/// Discovers every internal crate manifest (`crates/*/Cargo.toml`)
-/// under `root`, sorted for deterministic reports.
+/// Discovers the root manifest and every internal crate manifest
+/// (`crates/*/Cargo.toml`) under `root`, sorted for deterministic
+/// reports.
 fn discover_manifests(root: &Path) -> Vec<graph::Manifest> {
-    let crates_dir = root.join("crates");
-    let Ok(entries) = std::fs::read_dir(&crates_dir) else {
-        return Vec::new();
-    };
-    let mut paths: Vec<PathBuf> = entries
+    let mut paths: Vec<PathBuf> = std::fs::read_dir(root.join("crates"))
+        .into_iter()
+        .flatten()
         .filter_map(|e| e.ok().map(|e| e.path().join("Cargo.toml")))
-        .filter(|p| p.is_file())
         .collect();
     paths.sort();
+    paths.insert(0, root.join("Cargo.toml"));
     paths
         .iter()
         .filter_map(|p| {
@@ -113,23 +98,22 @@ fn discover_manifests(root: &Path) -> Vec<graph::Manifest> {
         .collect()
 }
 
-/// Runs the full check: walk, lex, per-file rule scan, the workspace
-/// passes (R9 lock-order, R10 determinism-taint, R11 layering), and
-/// baseline application.
+/// Runs the full check on the workspace at `root`: walk, lex, per-file
+/// rule scan, and the workspace passes (R9 lock-order, R10
+/// determinism-taint, R11 layering).
 ///
 /// # Errors
 ///
-/// Returns a message on I/O failures or a malformed baseline file
-/// (callers should treat this as a configuration error, distinct from
-/// rule violations).
+/// Returns a message on I/O failures (callers should treat this as a
+/// configuration error, distinct from rule violations).
 #[must_use = "dropping the report discards every finding and hides configuration errors"]
-pub fn run_check(config: &CheckConfig) -> Result<Report, String> {
+pub fn run_check(root: &Path) -> Result<Report, String> {
     let mut violations: Vec<Violation> = Vec::new();
-    let files = discover(&config.root)?;
+    let files = discover(root)?;
     let mut sources: Vec<SourceFile> = Vec::with_capacity(files.len());
     for path in &files {
         let rel = path
-            .strip_prefix(&config.root)
+            .strip_prefix(root)
             .unwrap_or(path)
             .to_string_lossy()
             .replace('\\', "/");
@@ -140,7 +124,7 @@ pub fn run_check(config: &CheckConfig) -> Result<Report, String> {
         sources.push(classified);
     }
     // Workspace passes see every file at once.
-    let manifests = discover_manifests(&config.root);
+    let manifests = discover_manifests(root);
     violations.extend(graph::lock_order(&sources));
     violations.extend(graph::layering(&sources, &manifests));
     violations.extend(taint::determinism_taint(&sources));
@@ -148,39 +132,11 @@ pub fn run_check(config: &CheckConfig) -> Result<Report, String> {
         (a.path.as_str(), a.line, a.rule).cmp(&(b.path.as_str(), b.line, b.rule))
     });
 
-    let mut report = Report {
+    Ok(Report {
         files: files.len(),
-        git_rev: git_rev(&config.root),
-        ..Report::default()
-    };
-    match &config.baseline {
-        Some(path) if path.exists() => {
-            let text = std::fs::read_to_string(path)
-                .map_err(|e| format!("cannot read baseline {}: {e}", path.display()))?;
-            let entries = baseline::parse(&text).map_err(|errors| errors.join("\n"))?;
-            let reasons: std::collections::BTreeMap<(crate::rules::RuleId, String), String> =
-                entries
-                    .iter()
-                    .map(|e| ((e.rule, e.path.clone()), e.reason.clone()))
-                    .collect();
-            let outcome = baseline::apply(&entries, violations);
-            report.violations = outcome.remaining;
-            report.suppressed = outcome
-                .suppressed
-                .into_iter()
-                .map(|v| {
-                    let reason = reasons
-                        .get(&(v.rule, v.path.clone()))
-                        .cloned()
-                        .unwrap_or_default();
-                    (v, reason)
-                })
-                .collect();
-            report.stale = outcome.stale;
-        }
-        _ => report.violations = violations,
-    }
-    Ok(report)
+        violations,
+        git_rev: git_rev(root),
+    })
 }
 
 #[cfg(test)]
@@ -192,19 +148,9 @@ mod tests {
         let f = classify("crates/solver/src/exact.rs", "fn f() {}");
         assert_eq!(f.crate_dir.as_deref(), Some("solver"));
         assert!(!f.is_test_target);
-        assert!(!f.is_crate_root);
 
         let f = classify("crates/agents/tests/chaos.rs", "fn f() {}");
         assert!(f.is_test_target);
-
-        for root in [
-            "src/lib.rs",
-            "crates/core/src/lib.rs",
-            "crates/lint/src/main.rs",
-            "crates/bench/src/bin/repro_all.rs",
-        ] {
-            assert!(classify(root, "").is_crate_root, "{root}");
-        }
-        assert!(!classify("crates/core/src/time.rs", "").is_crate_root);
+        assert_eq!(classify("src/lib.rs", "").crate_dir, None);
     }
 }

@@ -8,9 +8,11 @@
 //! calls — and fails on any cycle, printing the full witness path.
 //! [`layering`] checks the declarative crate DAG ([`ALLOWED_DEPS`])
 //! against both `Cargo.toml` dependency sections and `enki_*::` paths
-//! in source, and bans the nondeterministic modules
+//! in source, bans the nondeterministic modules
 //! (`enki_serve::edge`, `enki_durable::file`) from every layered crate
-//! that does not own them.
+//! that does not own them, and fails any package manifest that does
+//! not inherit the workspace lint table (`forbid(unsafe_code)` and the
+//! clippy levels reach a crate only through `[lints] workspace = true`).
 //!
 //! ## Guard-liveness model
 //!
@@ -36,13 +38,18 @@ use crate::lexer::{Token, TokenKind};
 use crate::parse::{matching_delim, parse};
 use crate::rules::{RuleId, SourceFile, Violation};
 
-/// One internal crate's manifest, reduced to what layering needs.
+/// One package manifest, reduced to what layering needs.
 #[derive(Debug, Clone, PartialEq, Eq)]
 pub struct Manifest {
     /// Workspace-relative path (`crates/core/Cargo.toml`).
     pub rel_path: String,
-    /// Package name from `[package]` (`enki-core`).
+    /// Package name from `[package]` (`enki-core`); empty for a virtual
+    /// workspace manifest.
     pub package: String,
+    /// 1-based line of the `[package]` header (0 when absent).
+    pub package_line: u32,
+    /// Whether a `[lints]` table sets `workspace = true`.
+    pub inherits_lints: bool,
     /// Internal (`enki-*`) entries of `[dependencies]` with their
     /// 1-based lines. `[dev-dependencies]` are deliberately excluded:
     /// test-only edges do not constrain the runtime architecture.
@@ -51,10 +58,13 @@ pub struct Manifest {
 
 /// Parses the minimal TOML subset the workspace manifests use:
 /// `[section]` headers, `key = …` entries, and `[dependencies.name]`
-/// sub-tables.
+/// sub-tables. Lint inheritance is recognised in the `[lints]` table
+/// form only, the one the workspace uses.
 #[must_use]
 pub fn parse_manifest(rel_path: &str, text: &str) -> Manifest {
     let mut package = String::new();
+    let mut package_line = 0;
+    let mut inherits_lints = false;
     let mut deps = Vec::new();
     let mut section = String::new();
     for (idx, raw) in text.lines().enumerate() {
@@ -62,6 +72,9 @@ pub fn parse_manifest(rel_path: &str, text: &str) -> Manifest {
         let lineno = u32::try_from(idx + 1).unwrap_or(u32::MAX);
         if line.starts_with('[') {
             section = line.trim_matches(['[', ']']).to_string();
+            if section == "package" {
+                package_line = lineno;
+            }
             if let Some(name) = section.strip_prefix("dependencies.") {
                 if name.starts_with("enki") {
                     deps.push((name.to_string(), lineno));
@@ -77,6 +90,9 @@ pub fn parse_manifest(rel_path: &str, text: &str) -> Manifest {
                 }
             }
         }
+        if section == "lints" && line.replace(' ', "") == "workspace=true" {
+            inherits_lints = true;
+        }
         if section == "dependencies" {
             let key = line
                 .split(['=', '.', ' ', '\t'])
@@ -91,6 +107,8 @@ pub fn parse_manifest(rel_path: &str, text: &str) -> Manifest {
     Manifest {
         rel_path: rel_path.to_string(),
         package,
+        package_line,
+        inherits_lints,
         deps,
     }
 }
@@ -156,6 +174,23 @@ fn path_to_package(ident: &str) -> String {
 #[must_use]
 pub fn layering(files: &[SourceFile], manifests: &[Manifest]) -> Vec<Violation> {
     let mut out = Vec::new();
+
+    // Lint inheritance: every package, layered or not.
+    for m in manifests {
+        if !m.package.is_empty() && !m.inherits_lints {
+            out.push(Violation {
+                rule: RuleId::Layering,
+                path: m.rel_path.clone(),
+                line: m.package_line,
+                message: format!(
+                    "`{}` does not inherit the workspace lint table: add `[lints]` \
+                     with `workspace = true`, or it skips `forbid(unsafe_code)` and \
+                     every clippy ban",
+                    m.package,
+                ),
+            });
+        }
+    }
 
     // Manifest edges.
     for m in manifests {
@@ -713,9 +748,12 @@ mod tests {
             "[package]\nname = \"enki-solver\"\nversion = \"0.1.0\"\n\n\
              [dependencies]\nenki-core.workspace = true\nenki-telemetry = { path = \"x\" }\n\
              parking_lot.workspace = true\n\n\
-             [dev-dependencies]\nenki-obs.workspace = true\nproptest.workspace = true\n",
+             [dev-dependencies]\nenki-obs.workspace = true\nproptest.workspace = true\n\n\
+             [lints]\nworkspace = true\n",
         );
         assert_eq!(m.package, "enki-solver");
+        assert_eq!(m.package_line, 1);
+        assert!(m.inherits_lints);
         let deps: Vec<&str> = m.deps.iter().map(|(d, _)| d.as_str()).collect();
         assert_eq!(deps, vec!["enki-core", "enki-telemetry"]);
     }
@@ -874,12 +912,13 @@ mod tests {
         let manifests = vec![
             parse_manifest(
                 "crates/core/Cargo.toml",
-                "[package]\nname = \"enki-core\"\n[dependencies]\nenki-obs.workspace = true\n",
+                "[package]\nname = \"enki-core\"\n[lints]\nworkspace = true\n\
+                 [dependencies]\nenki-obs.workspace = true\n",
             ),
             parse_manifest(
                 "crates/agents/Cargo.toml",
-                "[package]\nname = \"enki-agents\"\n[dependencies]\n\
-                 enki-serve.workspace = true\nenki-durable.workspace = true\n",
+                "[package]\nname = \"enki-agents\"\n[lints]\nworkspace = true\n\
+                 [dependencies]\nenki-serve.workspace = true\nenki-durable.workspace = true\n",
             ),
         ];
         let v = layering(&files, &manifests);
@@ -917,5 +956,37 @@ mod tests {
             ),
         ];
         assert!(layering(&files, &[]).is_empty());
+    }
+
+    #[test]
+    fn layering_flags_every_package_that_skips_the_workspace_lints() {
+        let manifests = vec![
+            parse_manifest(
+                "Cargo.toml",
+                "[workspace]\nmembers = []\n\n[package]\nname = \"enki\"\n",
+            ),
+            parse_manifest(
+                "crates/bench/Cargo.toml",
+                "[package]\nname = \"enki-bench\"\n",
+            ),
+            parse_manifest(
+                "crates/core/Cargo.toml",
+                "[package]\nname = \"enki-core\"\n\n[lints]\nworkspace = true\n",
+            ),
+            // A virtual workspace root has no package to lint.
+            parse_manifest("virtual/Cargo.toml", "[workspace]\nmembers = []\n"),
+        ];
+        let v = layering(&[], &manifests);
+        let sites: Vec<(&str, u32)> = v.iter().map(|x| (x.path.as_str(), x.line)).collect();
+        assert_eq!(
+            sites,
+            vec![("Cargo.toml", 4), ("crates/bench/Cargo.toml", 1)],
+            "{v:?}"
+        );
+        assert!(
+            v[0].message.contains("`enki` does not inherit"),
+            "{}",
+            v[0].message
+        );
     }
 }

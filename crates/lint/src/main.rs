@@ -1,45 +1,25 @@
 //! `enki-lint` CLI: the workspace invariant gate.
 //!
 //! ```text
-//! enki-lint check [--root DIR] [--baseline FILE] [--no-baseline]
-//!                 [--format text|json|sarif] [--output FILE]
-//!                 [--write-baseline FILE]
+//! enki-lint check [--root DIR] [--format text|json] [--output FILE]
 //! enki-lint rules [--markdown]
 //! ```
 //!
 //! Exit codes: `0` clean, `1` rule violations, `2` usage or
-//! configuration errors — unreadable files, a malformed baseline, or a
-//! stale baseline entry (the baseline no longer matches the tree and
-//! must be shrunk by hand, so it is a configuration error, not a code
-//! one).
-
-#![deny(unsafe_code)]
+//! configuration errors (unreadable files or directories).
 
 use std::path::PathBuf;
 use std::process::ExitCode;
 
-use enki_lint::engine::{run_check, CheckConfig};
-use enki_lint::{baseline, report, ALL_RULES};
+use enki_lint::engine::run_check;
+use enki_lint::{report, ALL_RULES};
 
 const USAGE: &str = "usage: enki-lint <check|rules> [options]\n\
   check --root DIR         workspace root (default: current directory)\n\
-        --baseline FILE    suppression file (default: <root>/lint.baseline)\n\
-        --no-baseline      ignore any baseline file\n\
-        --format FMT       text (default), json, or sarif\n\
+        --format FMT       text (default) or json\n\
         --output FILE      write the report there instead of stdout\n\
-        --write-baseline F snapshot current violations as a baseline\n\
-                           (entries carry an UNJUSTIFIED placeholder that\n\
-                           check rejects until hand-justified)\n\
   rules [--markdown]       print the rule catalog (or the DESIGN.md table)\n\
-exit codes: 0 clean, 1 rule violations, 2 usage/configuration errors\n\
-            (including stale baseline entries)";
-
-#[derive(Debug, Clone, Copy, PartialEq, Eq)]
-enum Format {
-    Text,
-    Json,
-    Sarif,
-}
+exit codes: 0 clean, 1 rule violations, 2 usage/configuration errors";
 
 fn fail(message: &str) -> ExitCode {
     eprintln!("enki-lint: {message}");
@@ -88,85 +68,34 @@ fn main() -> ExitCode {
 
 fn check(args: &[String]) -> ExitCode {
     let mut root = PathBuf::from(".");
-    let mut baseline_path: Option<PathBuf> = None;
-    let mut no_baseline = false;
-    let mut format = Format::Text;
+    let mut json = false;
     let mut output: Option<PathBuf> = None;
-    let mut write_baseline: Option<PathBuf> = None;
 
     let mut it = args.iter();
     while let Some(arg) = it.next() {
-        let mut take = |name: &str| {
-            it.next()
-                .cloned()
-                .ok_or_else(|| format!("{name} requires a value"))
+        if !matches!(arg.as_str(), "--root" | "--format" | "--output") {
+            return fail(&format!("unknown option `{arg}`"));
+        }
+        let Some(value) = it.next() else {
+            return fail(&format!("{arg} requires a value"));
         };
-        match arg.as_str() {
-            "--root" => match take("--root") {
-                Ok(v) => root = PathBuf::from(v),
-                Err(e) => return fail(&e),
-            },
-            "--baseline" => match take("--baseline") {
-                Ok(v) => baseline_path = Some(PathBuf::from(v)),
-                Err(e) => return fail(&e),
-            },
-            "--no-baseline" => no_baseline = true,
-            "--format" => match take("--format").as_deref() {
-                Ok("text") => format = Format::Text,
-                Ok("json") => format = Format::Json,
-                Ok("sarif") => format = Format::Sarif,
-                Ok(other) => return fail(&format!("unknown format `{other}`")),
-                Err(e) => return fail(e),
-            },
-            "--output" => match take("--output") {
-                Ok(v) => output = Some(PathBuf::from(v)),
-                Err(e) => return fail(&e),
-            },
-            "--write-baseline" => match take("--write-baseline") {
-                Ok(v) => write_baseline = Some(PathBuf::from(v)),
-                Err(e) => return fail(&e),
-            },
-            other => return fail(&format!("unknown option `{other}`")),
+        match (arg.as_str(), value.as_str()) {
+            ("--root", _) => root = PathBuf::from(value),
+            ("--format", "text") => json = false,
+            ("--format", "json") => json = true,
+            ("--format", other) => return fail(&format!("unknown format `{other}`")),
+            _ => output = Some(PathBuf::from(value)),
         }
     }
 
-    let baseline_file = if no_baseline {
-        None
-    } else {
-        Some(baseline_path.unwrap_or_else(|| root.join("lint.baseline")))
-    };
-    let config = CheckConfig {
-        root,
-        baseline: baseline_file,
-    };
-    let checked = match run_check(&config) {
+    let checked = match run_check(&root) {
         Ok(report) => report,
         Err(message) => return fail(&message),
     };
-
-    if let Some(path) = write_baseline {
-        // Snapshot covers *all* current findings (remaining + already
-        // suppressed) so the written file stands alone.
-        let all: Vec<_> = checked
-            .violations
-            .iter()
-            .cloned()
-            .chain(checked.suppressed.iter().map(|(v, _)| v.clone()))
-            .collect();
-        if let Err(e) = std::fs::write(&path, baseline::render(&all)) {
-            return fail(&format!("cannot write baseline {}: {e}", path.display()));
-        }
-        eprintln!(
-            "enki-lint: wrote {} entr(ies) to {} — justify each before checking it in",
-            all.len(),
-            path.display()
-        );
-    }
-
-    let rendered = match format {
-        Format::Text => report::to_text(&checked),
-        Format::Json => report::to_jsonl(&checked),
-        Format::Sarif => enki_lint::sarif::to_sarif(&checked),
+    let rendered = if json {
+        report::to_jsonl(&checked)
+    } else {
+        report::to_text(&checked)
     };
     match output {
         Some(path) => {
@@ -180,13 +109,9 @@ fn check(args: &[String]) -> ExitCode {
         None => print!("{rendered}"),
     }
 
-    if !checked.violations.is_empty() {
-        ExitCode::FAILURE
-    } else if !checked.stale.is_empty() {
-        // A stale entry means the baseline file no longer matches the
-        // tree: configuration error, same class as a malformed baseline.
-        ExitCode::from(2)
-    } else {
+    if checked.ok() {
         ExitCode::SUCCESS
+    } else {
+        ExitCode::FAILURE
     }
 }

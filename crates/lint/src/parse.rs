@@ -1,6 +1,6 @@
 //! Item-level parsing layered on the token scanner.
 //!
-//! The cross-file rules (R9–R12) need more shape than a flat token
+//! The cross-file rules (R9–R11) need more shape than a flat token
 //! stream: which `fn` owns a lock acquisition, what a `use` declaration
 //! actually imports once its braces are flattened, where a function
 //! body starts and ends. This module recovers exactly that much

@@ -8,21 +8,18 @@
 //!
 //! ```text
 //! {"type":"run","schema":"enki-lint/1","run_id":"…","label":"enki-lint","seed":0,"git_rev":"…","clock":"none","files":96}
-//! {"type":"violation","rule":"R1","name":"no-panic","file":"…","line":12,"message":"…"}
-//! {"type":"suppressed","rule":"R1","file":"…","line":30,"reason":"…"}
-//! {"type":"stale","rule":"R1","file":"…","expected":3,"actual":1,"baseline_line":7}
-//! {"type":"summary","files":96,"violations":0,"suppressed":4,"stale":0,"ok":true}
+//! {"type":"violation","rule":"R3","name":"float-discipline","file":"…","line":12,"message":"…"}
+//! {"type":"summary","files":96,"violations":0,"ok":true}
 //! ```
 //!
 //! Everything is deterministic: the `run_id` is a content hash of the
 //! findings, not a timestamp, so identical trees produce identical
-//! reports byte-for-byte (the same discipline R2 enforces on the code
-//! under analysis).
+//! reports byte-for-byte (the same discipline the clock ban enforces
+//! on the code under analysis).
 
 use std::fmt::Write as _;
 use std::path::Path;
 
-use crate::baseline::StaleEntry;
 use crate::rules::Violation;
 
 /// Schema tag stamped into every JSON report header.
@@ -33,21 +30,17 @@ pub const SCHEMA: &str = "enki-lint/1";
 pub struct Report {
     /// Files scanned.
     pub files: usize,
-    /// Unsuppressed violations (fail the build).
+    /// Violations (any one fails the build).
     pub violations: Vec<Violation>,
-    /// Baseline-suppressed violations, with their justifications.
-    pub suppressed: Vec<(Violation, String)>,
-    /// Stale baseline entries (fail the build).
-    pub stale: Vec<StaleEntry>,
     /// Git revision of the tree, or `"unknown"`.
     pub git_rev: String,
 }
 
 impl Report {
-    /// Whether the tree is clean: no violations and no stale entries.
+    /// Whether the tree is clean.
     #[must_use]
     pub fn ok(&self) -> bool {
-        self.violations.is_empty() && self.stale.is_empty()
+        self.violations.is_empty()
     }
 
     /// Deterministic content-hash id for this report (FNV-1a over the
@@ -62,14 +55,10 @@ impl Report {
             }
         };
         eat(&(self.files as u64).to_le_bytes());
-        for v in self.violations.iter().chain(self.suppressed.iter().map(|(v, _)| v)) {
+        for v in &self.violations {
             eat(v.rule.code().as_bytes());
             eat(v.path.as_bytes());
             eat(&v.line.to_le_bytes());
-        }
-        for s in &self.stale {
-            eat(s.entry.path.as_bytes());
-            eat(&(s.actual as u64).to_le_bytes());
         }
         format!("lint-{hash:016x}")
     }
@@ -143,37 +132,11 @@ pub fn to_jsonl(report: &Report) -> String {
             escape_json(&v.message)
         );
     }
-    for (v, reason) in &report.suppressed {
-        let _ = writeln!(
-            out,
-            "{{\"type\":\"suppressed\",\"rule\":\"{}\",\"file\":\"{}\",\"line\":{},\
-             \"reason\":\"{}\"}}",
-            v.rule.code(),
-            escape_json(&v.path),
-            v.line,
-            escape_json(reason)
-        );
-    }
-    for s in &report.stale {
-        let _ = writeln!(
-            out,
-            "{{\"type\":\"stale\",\"rule\":\"{}\",\"file\":\"{}\",\"expected\":{},\
-             \"actual\":{},\"baseline_line\":{}}}",
-            s.entry.rule.code(),
-            escape_json(&s.entry.path),
-            s.entry.count,
-            s.actual,
-            s.entry.line
-        );
-    }
     let _ = writeln!(
         out,
-        "{{\"type\":\"summary\",\"files\":{},\"violations\":{},\"suppressed\":{},\
-         \"stale\":{},\"ok\":{}}}",
+        "{{\"type\":\"summary\",\"files\":{},\"violations\":{},\"ok\":{}}}",
         report.files,
         report.violations.len(),
-        report.suppressed.len(),
-        report.stale.len(),
         report.ok()
     );
     out
@@ -194,25 +157,11 @@ pub fn to_text(report: &Report) -> String {
             v.message
         );
     }
-    for s in &report.stale {
-        let _ = writeln!(
-            out,
-            "lint.baseline:{}: stale entry: {} {} expects {} violation(s), tree has {} — \
-             update or delete the entry",
-            s.entry.line,
-            s.entry.rule.code(),
-            s.entry.path,
-            s.entry.count,
-            s.actual
-        );
-    }
     let _ = writeln!(
         out,
-        "enki-lint: {} file(s), {} violation(s), {} suppressed, {} stale — {}",
+        "enki-lint: {} file(s), {} violation(s) — {}",
         report.files,
         report.violations.len(),
-        report.suppressed.len(),
-        report.stale.len(),
         if report.ok() { "ok" } else { "FAIL" }
     );
     out
@@ -227,21 +176,11 @@ mod tests {
         Report {
             files: 3,
             violations: vec![Violation {
-                rule: RuleId::NoPanic,
+                rule: RuleId::FloatDiscipline,
                 path: "crates/core/src/x.rs".to_string(),
                 line: 7,
                 message: "a \"quoted\" message\nwith newline".to_string(),
             }],
-            suppressed: vec![(
-                Violation {
-                    rule: RuleId::FloatDiscipline,
-                    path: "crates/stats/src/y.rs".to_string(),
-                    line: 2,
-                    message: String::new(),
-                },
-                "legacy".to_string(),
-            )],
-            stale: Vec::new(),
             git_rev: "abc123".to_string(),
         }
     }
@@ -271,7 +210,7 @@ mod tests {
     }
 
     #[test]
-    fn ok_tracks_violations_and_staleness() {
+    fn ok_tracks_violations() {
         let mut r = sample();
         assert!(!r.ok());
         r.violations.clear();
@@ -281,8 +220,8 @@ mod tests {
     #[test]
     fn text_report_names_file_line_and_rule() {
         let text = to_text(&sample());
-        assert!(text.contains("crates/core/src/x.rs:7: R1 [no-panic]"));
-        assert!(text.contains("1 violation(s), 1 suppressed"));
+        assert!(text.contains("crates/core/src/x.rs:7: R3 [float-discipline]"));
+        assert!(text.contains("1 violation(s)"));
         assert!(text.contains("FAIL"));
     }
 }

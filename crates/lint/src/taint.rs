@@ -2,8 +2,8 @@
 //! that recovery replays or the ids that traces compare.
 //!
 //! Sources are the workspace's known nondeterminism producers:
-//! `Instant::now()` / `SystemTime::now()` (the same token shapes the R2
-//! clock rule looks for), `thread::current()` ids, `RandomState`, and
+//! `Instant::now()` / `SystemTime::now()` (the calls the `clippy.toml`
+//! clock ban covers), `thread::current()` ids, `RandomState`, and
 //! `{:p}` pointer formatting inside string literals (read from
 //! [`Token::content`], since `text` strips the literal body).
 //!
@@ -416,7 +416,8 @@ mod tests {
             "fn f(w: &mut Wal, payload: &[u8]) { let n = payload.len(); w.append(Kind::X, n); }",
         )]);
         assert!(v.is_empty(), "{v:?}");
-        // A source that never reaches a sink is R2's business, not R10's.
+        // A source that never reaches a sink is the clock ban's business,
+        // not R10's.
         let v = violations_for(&[(
             "crates/serve/src/edge.rs",
             "fn f() { let t = Instant::now(); log(t); }",

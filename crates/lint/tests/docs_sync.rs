@@ -41,27 +41,18 @@ fn lib_rs_doc_header_names_every_rule() {
     }
 }
 
-/// The CLI usage text documents that stale baseline entries are a
-/// configuration error (exit 2), not a rule violation (exit 1).
-#[test]
-fn cli_usage_documents_the_stale_baseline_exit_code() {
-    let main = include_str!("../src/main.rs");
-    assert!(
-        main.contains("including stale baseline entries"),
-        "main.rs usage text no longer documents stale-entry exit semantics"
-    );
-}
-
-/// DESIGN.md documents the workspace-graph passes and the SARIF output
-/// by name, so a reader of the design doc learns the v2 surface exists.
+/// DESIGN.md documents the workspace-graph passes and the clippy
+/// configuration that replaced the per-file rules, so a reader of the
+/// design doc learns where each ban is enforced.
 #[test]
 fn design_md_documents_the_v2_surface() {
     let design = repo_file("DESIGN.md");
     for needle in [
         "Workspace-graph passes",
         "lock-order cycle",
-        "--format sarif",
         "rules --markdown",
+        "clippy.toml",
+        "#[expect(",
     ] {
         assert!(design.contains(needle), "DESIGN.md is missing `{needle}`");
     }

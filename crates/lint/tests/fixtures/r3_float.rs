@@ -2,12 +2,10 @@
 
 pub fn compare(bill: f64, scores: &mut Vec<(f64, usize)>) -> bool {
     scores.sort_by(|a, b| a.0.partial_cmp(&b.0).unwrap()); // violation 1 (partial_cmp)
-    if bill == 0.0 {
-        // violation 2 (float literal ==)
+    if bill == 0.0 { // violation 2 (float literal ==)
         return true;
     }
-    if bill != -1.5 {
-        // violation 3 (float literal != with unary minus)
+    if bill != -1.5 { // violation 3 (float literal != with unary minus)
         return false;
     }
     let exact = 0.1 + 0.2;

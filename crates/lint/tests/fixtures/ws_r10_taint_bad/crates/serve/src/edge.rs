@@ -1,6 +1,6 @@
 // R10 fixture (bad tree): a clock read flows through a let chain into
-// the WAL `append` sink. The edge file may read the OS clock (R2
-// allowlists it), but the value still must not reach durable bytes.
+// the WAL `append` sink. The edge file may read the OS clock, but the
+// value still must not reach durable bytes.
 // Expected: one determinism-taint violation at the `append` call.
 
 pub fn persist(w: &mut Wal) {

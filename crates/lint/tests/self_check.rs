@@ -1,33 +1,32 @@
-//! The meta-test: the committed workspace must pass its own linter
-//! with the committed baseline, and the baseline must match the tree
-//! *exactly* — a fixed violation whose entry lingers, or a new
-//! violation, both fail here before they fail in CI.
+//! The meta-tests: the committed workspace must pass its own linter,
+//! and the clippy configuration that carries the retired per-file
+//! rules must stay where the rules used to apply.
 
-use std::path::PathBuf;
+use std::path::{Path, PathBuf};
 
-use enki_lint::engine::{run_check, CheckConfig};
 use enki_lint::report::to_text;
+use enki_lint::run_check;
 
 fn workspace_root() -> PathBuf {
     // crates/lint → workspace root.
     PathBuf::from(env!("CARGO_MANIFEST_DIR"))
         .parent()
-        .and_then(std::path::Path::parent)
+        .and_then(Path::parent)
         .expect("crates/lint has a workspace root")
         .to_path_buf()
 }
 
+fn read(rel: &str) -> String {
+    let path = workspace_root().join(rel);
+    std::fs::read_to_string(&path).unwrap_or_else(|e| panic!("read {}: {e}", path.display()))
+}
+
 #[test]
-fn workspace_is_clean_under_the_committed_baseline() {
-    let root = workspace_root();
-    let report = run_check(&CheckConfig {
-        baseline: Some(root.join("lint.baseline")),
-        root,
-    })
-    .expect("lint run succeeds (malformed baseline is a test failure)");
+fn workspace_is_clean() {
+    let report = run_check(&workspace_root()).expect("lint run succeeds");
     assert!(
         report.ok(),
-        "workspace has non-baselined lint findings or stale baseline entries:\n{}",
+        "workspace has lint findings:\n{}",
         to_text(&report)
     );
     // Sanity: the walk actually covered the workspace.
@@ -38,53 +37,52 @@ fn workspace_is_clean_under_the_committed_baseline() {
     );
 }
 
+/// R1 and R12 now live as a lint-level header on the five mechanism
+/// crate roots, and R2/R4/R5 as bans in the root clippy.toml. Clippy
+/// only enforces what is configured, so losing a header or a ban would
+/// pass CI silently; this pins both. The header must match the one the
+/// clippy fixtures prove (`fixtures/clippy/src/bin/r1_panic_bad.rs`).
 #[test]
-fn every_baseline_suppression_carries_its_justification() {
-    let root = workspace_root();
-    let report = run_check(&CheckConfig {
-        baseline: Some(root.join("lint.baseline")),
-        root,
-    })
-    .expect("lint run succeeds");
-    for (violation, reason) in &report.suppressed {
+fn retired_rules_stay_configured_for_clippy() {
+    let fixture = include_str!("fixtures/clippy/src/bin/r1_panic_bad.rs");
+    let start = fixture
+        .find("#![cfg_attr(")
+        .expect("fixture carries the header");
+    let end = start + fixture[start..].find("\n)]").expect("header closes") + 3;
+    let header = &fixture[start..end];
+    for lint in [
+        "unwrap_used",
+        "expect_used",
+        "panic",
+        "cast_possible_truncation",
+    ] {
+        assert!(header.contains(&format!("clippy::{lint},")), "{header}");
+    }
+    for krate in ["core", "solver", "agents", "serve", "durable"] {
+        let root = read(&format!("crates/{krate}/src/lib.rs"));
         assert!(
-            !reason.trim().is_empty(),
-            "suppressed {} at {}:{} has no justification",
-            violation.rule.code(),
-            violation.path,
-            violation.line
+            root.contains(header),
+            "crates/{krate}/src/lib.rs lost the header:\n{header}"
         );
     }
-}
 
-/// The workspace-graph rules (R9–R12) launched with a clean tree and
-/// must stay that way: a lock-order cycle, a determinism leak, a
-/// layering break, or a narrowing money cast gets *fixed*, never
-/// baselined. CI enforces the same invariant on the baseline file.
-#[test]
-fn workspace_rules_have_zero_baseline_entries() {
-    use enki_lint::RuleId;
-    let root = workspace_root();
-    let report = run_check(&CheckConfig {
-        baseline: Some(root.join("lint.baseline")),
-        root,
-    })
-    .expect("lint run succeeds");
-    let graph_rules = [
-        RuleId::LockOrder,
-        RuleId::DeterminismTaint,
-        RuleId::Layering,
-        RuleId::CastDiscipline,
-    ];
-    for (violation, reason) in &report.suppressed {
+    let clippy = read("clippy.toml");
+    for banned in [
+        "std::time::Instant::now",
+        "std::time::SystemTime::now",
+        "std::thread::spawn",
+        "std::thread::scope",
+        "std::collections::HashMap",
+        "std::collections::HashSet",
+        "std::sync::Mutex",
+        "std::sync::RwLock",
+        "std::sync::Condvar",
+        "parking_lot::Mutex",
+    ] {
         assert!(
-            !graph_rules.contains(&violation.rule),
-            "{} at {}:{} is baselined (`{}`) — workspace-graph findings \
-             must be fixed, not suppressed",
-            violation.rule.code(),
-            violation.path,
-            violation.line,
-            reason
+            clippy.contains(&format!("path = \"{banned}\"")),
+            "clippy.toml no longer bans `{banned}`"
         );
     }
+    assert!(read("Cargo.toml").contains("[workspace.lints.rust]\nunsafe_code = \"forbid\""));
 }

@@ -12,8 +12,6 @@
 //! Everything here is a pure function over parsed text — the binary in
 //! `main.rs` owns the filesystem and process-exit surface.
 
-#![deny(unsafe_code)]
-
 pub mod bench;
 pub mod causal;
 pub mod critical;

@@ -14,8 +14,6 @@
 //! Exit codes: 0 success, 1 findings (invalid trace, trace divergence,
 //! bench regression), 2 usage error.
 
-#![deny(unsafe_code)]
-
 use std::process::ExitCode;
 
 use enki_obs::{

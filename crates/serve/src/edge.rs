@@ -18,19 +18,29 @@
 //!   accounting and admission never double-count regardless of
 //!   interleaving).
 //!
-//! enki-lint's thread-discipline (R5) and clock (R2) rules allowlist
-//! exactly this file within the serve crate; `std::thread` or lock use
-//! anywhere else in `enki-serve` fails the lint.
+//! Within the serve crate only this file carries `#[expect]`s past the
+//! workspace `clippy.toml` bans on threads and locks; `std::thread` or
+//! lock use anywhere else in `enki-serve` fails clippy.
 
 use std::sync::Arc;
 use std::thread::JoinHandle;
 
+#[expect(
+    clippy::disallowed_types,
+    reason = "the nondeterministic edge: producer threads hand frames to the \
+              deterministic core here"
+)]
 use parking_lot::Mutex;
 
 /// A shared mailbox where producer threads post encoded frames for the
 /// ingest consumer to drain.
 #[derive(Debug, Default)]
 pub struct EdgeMailbox {
+    #[expect(
+        clippy::disallowed_types,
+        reason = "the nondeterministic edge: producer threads hand frames to the \
+                  deterministic core here"
+    )]
     frames: Mutex<Vec<Vec<u8>>>,
 }
 
@@ -73,6 +83,11 @@ impl EdgeMailbox {
 /// Per-producer frame order is preserved (each thread posts
 /// sequentially); interleaving *across* producers is up to the OS
 /// scheduler.
+#[expect(
+    clippy::disallowed_methods,
+    reason = "the nondeterministic edge: producer threads hand frames to the \
+              deterministic core here"
+)]
 pub fn spawn_producers(
     mailbox: &Arc<EdgeMailbox>,
     producers: Vec<Vec<Vec<u8>>>,

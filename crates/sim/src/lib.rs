@@ -35,7 +35,6 @@
 
 #![warn(missing_docs)]
 #![warn(missing_debug_implementations)]
-#![deny(unsafe_code)]
 
 pub mod behavior;
 pub mod coalition;

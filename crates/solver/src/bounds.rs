@@ -114,6 +114,11 @@ pub fn discrete_fill_sum_of_squares(
 /// maintain the base incrementally and must not pay the 24-hour recompute
 /// on every node.
 #[must_use]
+#[expect(
+    clippy::expect_used,
+    reason = "heap holds one entry per allowed hour and every pop is followed by a push; \
+              guarded by the non-empty-mask check above the loop"
+)]
 pub fn discrete_fill_extra(
     loads: &[f64; HOURS_PER_DAY],
     allowed: u32,
@@ -193,6 +198,10 @@ impl ForcedUnits {
     /// equivalence-class form of [`add_window`](Self::add_window). The
     /// forced-unit count of each `[s, t]` cell scales linearly with the
     /// number of identical windows, so one pass covers a whole class.
+    #[expect(
+        clippy::cast_sign_loss,
+        reason = "s and t lie in [0, HOURS_PER_DAY) and must > 0 where they are cast"
+    )]
     pub fn add_window_times(&mut self, begin: u8, end: u8, duration: u8, times: u32) {
         debug_assert!(begin < end && end as usize <= HOURS_PER_DAY);
         debug_assert!(duration > 0 && begin + duration <= end);

@@ -412,12 +412,25 @@ impl BranchAndBound {
             }
         }
         // Σ over whole classes `c'. ≥ c` of size · min block price.
+        // Saturating: past the envelope below the sums are never used.
         let mut suffix_price = vec![0u64; class_count + 1];
         for c in (0..class_count).rev() {
             let first_slot = eq.offset(c);
-            suffix_price[c] =
-                suffix_price[c + 1] + u64::from(class_size[c]) * min_price_from[first_slot];
+            suffix_price[c] = suffix_price[c + 1].saturating_add(
+                u64::from(class_size[c]).saturating_mul(min_price_from[first_slot]),
+            );
         }
+        // The in-tree price part is at most every member at its class's
+        // dearest block.
+        let price_cap = (0..class_count).fold(0u64, |cap, c| {
+            let dearest = slot_price[eq.offset(c)..eq.offset(c + 1)]
+                .iter()
+                .copied()
+                .max()
+                .unwrap_or(0);
+            cap.saturating_add(u64::from(class_size[c]).saturating_mul(dearest))
+        });
+        let price_bound = price_bound_fits(price_cap, incumbent_sumsq, &lambda);
         let rate = problem.rate();
         let sigma = problem.sigma();
         let zero = [0u32; HOURS_PER_DAY];
@@ -428,7 +441,11 @@ impl BranchAndBound {
         // per-hour penalty is ΣΛ²/4S² and the price part is Σ·Λ-min/S.
         let scale = f64::from(1u32 << PRICE_SHIFT);
         let lambda_sq: f64 = lambda.iter().map(|&l| (l as f64) * (l as f64)).sum();
-        let lag_root = (suffix_price[0] as f64) / scale - lambda_sq / (4.0 * scale * scale);
+        let lag_root = if price_bound {
+            (suffix_price[0] as f64) / scale - lambda_sq / (4.0 * scale * scale)
+        } else {
+            0.0
+        };
         let root_bound =
             sigma * rate * rate * (fill.max(pigeon) as f64).max(lag_root.max(0.0));
         Ok(Prep {
@@ -443,6 +460,7 @@ impl BranchAndBound {
             incumbent_sumsq,
             initial_incumbent,
             root_bound,
+            price_bound,
             lambda,
             min_price_from,
             suffix_price,
@@ -467,10 +485,30 @@ const BOUND_CACHE_CAP: usize = 100_000;
 
 /// Fixed-point scale shift for the Lagrangian reference prices: prices
 /// are stored as `Λ = round(λ · 2^PRICE_SHIFT)`. The in-tree prune test
-/// compares values scaled by `4·2^(2·PRICE_SHIFT)`, so the arithmetic
-/// stays exact in `u64` while `Σc² < 2^(62 − 2·PRICE_SHIFT − 2) = 2^28`
-/// — comfortably beyond day-sized instances (`Σc²` at n=1024 is ≈ 2^19).
+/// compares values scaled by `4·2^(2·PRICE_SHIFT)`, which stays exact in
+/// `u64` only inside an envelope that [`price_bound_fits`] checks once
+/// per instance — roughly `Σc² < 2^30`, comfortably beyond day-sized
+/// instances (`Σc²` at n=1024 is ≈ 2^19).
 const PRICE_SHIFT: u32 = 16;
+
+/// Whether every term of the scaled price-bound comparison in
+/// [`Search::bound_prunes`] fits `u64` on this instance. The search only
+/// descends while the prefix Σc² is below the incumbent's, the price
+/// part never exceeds `price_cap`, and the penalty never exceeds ΣΛ².
+/// Outside this envelope the price bound is skipped: union fill and
+/// pigeonhole still prune, so the search stays exact, only slower.
+fn price_bound_fits(price_cap: u64, incumbent_sumsq: u64, lambda: &[u64; HOURS_PER_DAY]) -> bool {
+    let sumsq_part = incumbent_sumsq.checked_mul(1 << (2 * PRICE_SHIFT + 2));
+    let price_part = price_cap.checked_mul(1 << (PRICE_SHIFT + 2));
+    let penalty = lambda
+        .iter()
+        .try_fold(0u64, |acc, &l| acc.checked_add(l.checked_mul(l)?));
+    let lhs = sumsq_part
+        .zip(price_part)
+        .and_then(|(s, p)| s.checked_add(p));
+    let rhs = sumsq_part.zip(penalty).and_then(|(s, q)| s.checked_add(q));
+    lhs.is_some() && rhs.is_some()
+}
 
 /// Frank-Wolfe iteration cap for the continuous-relaxation prices. The
 /// loop usually exits early on the duality-gap test; the cap bounds
@@ -491,6 +529,11 @@ const FW_EPS: f64 = 0.25;
 /// the incumbent loads and is a pure function of `(eq, incumbent)`, so
 /// every drive of the same instance sees identical prices. Returns the
 /// fixed-point integer prices `Λ = round(2·x*·2^PRICE_SHIFT)`.
+#[expect(
+    clippy::cast_possible_truncation,
+    clippy::cast_sign_loss,
+    reason = "0 <= x_h <= member count < 2^32, so x_h·2^(PRICE_SHIFT+1) < 2^49 fits u64"
+)]
 fn relaxation_prices(
     eq: &EquivalenceClasses,
     incumbent_counts: &[u32; HOURS_PER_DAY],
@@ -608,6 +651,9 @@ pub(crate) struct Prep {
     pub(crate) incumbent_sumsq: u64,
     pub(crate) initial_incumbent: f64,
     pub(crate) root_bound: f64,
+    /// Whether the Lagrangian price bound runs: false when this instance
+    /// lies outside its fixed-point envelope ([`price_bound_fits`]).
+    price_bound: bool,
     /// Fixed-point reference prices for the Lagrangian price bound:
     /// `Λ_h = round(λ_h · 2^PRICE_SHIFT)` with λ ≈ 2·x* the dual-optimal
     /// prices of the continuous relaxation (see [`relaxation_prices`]).
@@ -937,21 +983,23 @@ impl Search<'_> {
         // Everything is compared at scale `4·2^(2·PRICE_SHIFT)` and
         // rearranged to stay unsigned:
         //   bound ≥ best ⟺ 4S·price_part + 4S²·sumsq ≥ 4S²·best + penalty.
-        let price_part = u64::from(rem) * self.prep.min_price_from[slot]
-            + self.prep.suffix_price[class + 1];
-        let mut penalty: u64 = 0;
-        let mut bits = avail_mask;
-        while bits != 0 {
-            let h = bits.trailing_zeros() as usize;
-            let short = self.prep.lambda[h]
-                .saturating_sub(u64::from(self.counts[h]) << (PRICE_SHIFT + 1));
-            penalty += short * short;
-            bits &= bits - 1;
-        }
-        let lhs =
-            (price_part << (PRICE_SHIFT + 2)) + (self.sumsq << (2 * PRICE_SHIFT + 2));
-        let rhs = (self.best_sumsq << (2 * PRICE_SHIFT + 2)) + penalty;
-        let mut prunes = lhs >= rhs;
+        // Skipped outside the instance's fixed-point envelope.
+        let mut prunes = self.prep.price_bound && {
+            let price_part =
+                u64::from(rem) * self.prep.min_price_from[slot] + self.prep.suffix_price[class + 1];
+            let mut penalty: u64 = 0;
+            let mut bits = avail_mask;
+            while bits != 0 {
+                let h = bits.trailing_zeros() as usize;
+                let short = self.prep.lambda[h]
+                    .saturating_sub(u64::from(self.counts[h]) << (PRICE_SHIFT + 1));
+                penalty += short * short;
+                bits &= bits - 1;
+            }
+            let lhs = (price_part << (PRICE_SHIFT + 2)) + (self.sumsq << (2 * PRICE_SHIFT + 2));
+            let rhs = (self.best_sumsq << (2 * PRICE_SHIFT + 2)) + penalty;
+            lhs >= rhs
+        };
 
         // Next: the analytic union fill of the remaining units.
         if !prunes {
@@ -1208,5 +1256,55 @@ mod tests {
         assert_eq!(compositions(12, 5), 1820);
         // Saturates instead of overflowing.
         assert!(compositions(u32::MAX, 24) > 1u64 << 40);
+    }
+
+    /// Drives one sequential search, with the price bound forced off
+    /// when `price_bound` is false. Returns whether the bound ran, whether
+    /// the search proved optimality, and the best Σc².
+    fn drive(bb: &BranchAndBound, p: &AllocationProblem, price_bound: bool) -> (bool, bool, u64) {
+        let mut prep = bb.prepare(p).unwrap();
+        prep.price_bound &= price_bound;
+        let mut search = prep.search(bb.clock.as_ref(), Duration::ZERO, bb.node_limit, None);
+        search.run_from(0);
+        (prep.price_bound, !search.aborted, search.best_sumsq)
+    }
+
+    #[test]
+    fn price_bound_fails_closed_outside_its_fixed_point_envelope() {
+        let bb = BranchAndBound::new()
+            .with_node_limit(2_000)
+            .with_incumbent_restarts(1);
+        let replicated = |classes: &[(u8, u8, u8)], k: usize| {
+            problem(
+                classes
+                    .iter()
+                    .flat_map(|&(b, e, v)| std::iter::repeat_n(pref(b, e, v), k))
+                    .collect(),
+            )
+        };
+        // (instance, inside the envelope?). One class of k two-hour jobs
+        // in a four-hour window balances to k/2 units an hour, so the
+        // optimum is Σc² = k²; the scaled comparison outgrows u64 between
+        // k = 12,000 and 24,000, where an unguarded bound overflows.
+        let cases = [
+            (replicated(&[(20, 24, 2)], 12_000), true),
+            (replicated(&[(20, 24, 2)], 24_000), false),
+            (replicated(&[(20, 24, 2), (21, 24, 1)], 16_000), false),
+            (replicated(&[(18, 22, 2), (19, 23, 1)], 40), true),
+        ];
+        for (p, inside) in &cases {
+            let (ran, proven, sumsq) = drive(&bb, p, true);
+            assert_eq!(ran, *inside, "n = {}", p.len());
+            let (_, off_proven, off_sumsq) = drive(&bb, p, false);
+            if proven {
+                // A proof must hold against the search without the bound.
+                assert!(sumsq <= off_sumsq, "n = {}: {sumsq} > {off_sumsq}", p.len());
+                if off_proven {
+                    assert_eq!(sumsq, off_sumsq, "n = {}", p.len());
+                }
+            }
+        }
+        let k = 24_000u64;
+        assert_eq!(drive(&bb, &cases[1].0, true), (false, true, k * k));
     }
 }

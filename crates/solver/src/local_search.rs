@@ -67,9 +67,11 @@ impl LocalSearch {
 
         for _ in 0..self.max_passes {
             let mut improved = false;
-            // Indexing two parallel vectors (deferments and preferences);
-            // an iterator would need a zip of mutable and shared borrows.
-            #[allow(clippy::needless_range_loop)]
+            #[expect(
+                clippy::needless_range_loop,
+                reason = "indexes two parallel vectors (deferments and preferences); an \
+                          iterator would need a zip of mutable and shared borrows"
+            )]
             for i in 0..problem.len() {
                 let pref = &problem.preferences()[i];
                 // The start vector was validated by problem.windows() above

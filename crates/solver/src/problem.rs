@@ -118,9 +118,12 @@ impl AllocationProblem {
 
     /// The pricing rule the objective uses.
     #[must_use]
+    #[expect(
+        clippy::expect_used,
+        reason = "sigma was checked finite and positive in new(), the only constructor; \
+                  pricing() is infallible by that invariant"
+    )]
     pub fn pricing(&self) -> QuadraticPricing {
-        // Internal invariant, not input-reachable: sigma was checked
-        // finite and positive in new(), the only constructor.
         QuadraticPricing::new(self.sigma).expect("validated at construction")
     }
 

@@ -24,7 +24,6 @@
 
 #![warn(missing_docs)]
 #![warn(missing_debug_implementations)]
-#![deny(unsafe_code)]
 
 pub mod descriptive;
 pub mod mann_whitney;

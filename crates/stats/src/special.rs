@@ -51,10 +51,12 @@ pub fn ln_gamma(x: f64) -> f64 {
 pub fn beta_inc(a: f64, b: f64, x: f64) -> f64 {
     assert!(a > 0.0 && b > 0.0, "beta_inc requires positive shape parameters");
     assert!((0.0..=1.0).contains(&x), "beta_inc requires x in [0, 1]");
-    if x == 0.0 {
+    // The domain endpoints, as inequalities: equivalent to exact
+    // equality under the assert above.
+    if x <= 0.0 {
         return 0.0;
     }
-    if x == 1.0 {
+    if x >= 1.0 {
         return 1.0;
     }
     let ln_front = ln_gamma(a + b) - ln_gamma(a) - ln_gamma(b) + a * x.ln() + b * (1.0 - x).ln();

@@ -29,6 +29,10 @@ pub struct MonotonicClock {
 impl MonotonicClock {
     /// A clock whose epoch is now.
     #[must_use]
+    #[expect(
+        clippy::disallowed_methods,
+        reason = "the one sanctioned wrapper around the OS clock"
+    )]
     pub fn new() -> Self {
         Self {
             origin: Instant::now(),

@@ -51,7 +51,6 @@
 //! assert_eq!(telemetry.counter("days.completed"), Some(1));
 //! ```
 
-#![deny(unsafe_code)]
 #![warn(missing_docs)]
 #![warn(missing_debug_implementations)]
 

@@ -16,6 +16,10 @@ use std::sync::atomic::{AtomicU64, Ordering};
 use std::sync::Arc;
 use std::time::Duration;
 
+#[expect(
+    clippy::disallowed_types,
+    reason = "enki-telemetry is the lock-bearing substrate every thread records through"
+)]
 use parking_lot::Mutex;
 
 use crate::clock::{Clock, MonotonicClock, VirtualClock};
@@ -87,6 +91,10 @@ pub fn detect_git_rev() -> String {
 
 /// The shared sink. Everything lives behind one `Arc`.
 #[derive(Debug)]
+#[expect(
+    clippy::disallowed_types,
+    reason = "enki-telemetry is the lock-bearing substrate every thread records through"
+)]
 pub(crate) struct Sink {
     pub(crate) clock: Arc<dyn Clock>,
     pub(crate) meta: RunMeta,
@@ -127,6 +135,10 @@ impl Telemetry {
         Self::build(label, seed, clock, "virtual")
     }
 
+    #[expect(
+        clippy::disallowed_types,
+        reason = "enki-telemetry is the lock-bearing substrate every thread records through"
+    )]
     fn build(label: &str, seed: u64, clock: Arc<dyn Clock>, kind: &'static str) -> Self {
         let meta = RunMeta {
             run_id: format!("run-{:016x}", fnv1a(label, seed)),
@@ -710,6 +722,10 @@ mod tests {
     }
 
     #[test]
+    #[expect(
+        clippy::disallowed_methods,
+        reason = "the test exercises the recorder from several threads"
+    )]
     fn recorders_work_across_threads() {
         let t = Telemetry::new("test", 1);
         std::thread::scope(|scope| {

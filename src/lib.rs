@@ -34,7 +34,6 @@
 //! ```
 
 #![warn(missing_docs)]
-#![deny(unsafe_code)]
 #![warn(missing_debug_implementations)]
 
 pub use enki_agents as agents;
