@@ -49,7 +49,7 @@ use enki_telemetry::trace::{stage, TraceContext};
 use enki_telemetry::{Recorder, VirtualClock};
 use rand::rngs::StdRng;
 use rand::{RngExt, SeedableRng};
-use serde::{Deserialize, Serialize, Value};
+use serde::{Decode, Deserialize, Encode, Serialize};
 
 use crate::message::{Envelope, Message, NodeId, Tick};
 
@@ -216,7 +216,7 @@ impl PipelineConfig {
 }
 
 /// Everything the center recorded about one settled day.
-#[derive(Debug, Clone, PartialEq, Serialize, Deserialize)]
+#[derive(Debug, Clone, PartialEq, Serialize, Deserialize, Encode, Decode)]
 pub struct DayRecord {
     /// Day number.
     pub day: u64,
@@ -237,7 +237,7 @@ pub struct DayRecord {
     pub settlement: Option<Settlement>,
 }
 
-#[derive(Debug, Clone, PartialEq, Serialize, Deserialize)]
+#[derive(Debug, Clone, PartialEq, Serialize, Deserialize, Encode, Decode)]
 struct DayInProgress {
     day: u64,
     report_deadline: Tick,
@@ -291,7 +291,7 @@ struct DayInProgress {
 /// intentionally preserves each household's last submission verbatim —
 /// NaN and all — which is why durable serialization uses the bit-exact
 /// snapshot codec rather than JSON.
-#[derive(Debug, Clone, PartialEq, Serialize, Deserialize)]
+#[derive(Debug, Clone, PartialEq, Serialize, Deserialize, Encode, Decode)]
 pub struct CenterCheckpoint {
     next_day: u64,
     rng_state: [u64; 4],
@@ -319,6 +319,20 @@ impl CenterCheckpoint {
     #[must_use]
     pub fn next_day(&self) -> u64 {
         self.next_day
+    }
+
+    /// Whether the live state follows the ledger, as every commit leaves
+    /// it: the newest settled day lies below `next_day`, and a day in
+    /// progress is day `next_day − 1` and newer than the newest settled
+    /// day. A checkpoint failing this would restart a recorded day
+    /// after a restore.
+    pub(crate) fn live_state_follows_ledger(&self) -> bool {
+        let newest = self.records.last().map(|r| r.day);
+        newest.is_none_or(|day| day < self.next_day)
+            && self.current.as_ref().is_none_or(|current| {
+                current.day.checked_add(1) == Some(self.next_day)
+                    && newest.is_none_or(|day| day < current.day)
+            })
     }
 
     /// Whether this checkpoint's ledger extends `earlier`'s: it is at
@@ -392,7 +406,7 @@ impl CenterCheckpoint {
 }
 
 /// The encoding side of a [`CenterDelta`]: a checkpoint's live state
-/// and the tail of its ledger from `base` on, serialized straight from
+/// and the tail of its ledger from `base` on, written straight from
 /// the borrowed checkpoint.
 #[derive(Debug)]
 pub(crate) struct CenterDeltaRef<'a> {
@@ -400,26 +414,26 @@ pub(crate) struct CenterDeltaRef<'a> {
     checkpoint: &'a CenterCheckpoint,
 }
 
-impl Serialize for CenterDeltaRef<'_> {
-    fn serialize_value(&self) -> Value {
+/// Writes exactly what [`CenterDelta`]'s derived reader reads: its
+/// fields in its declaration order, `base` as a `u64` and the ledger
+/// tail as a sequence.
+impl Encode for CenterDeltaRef<'_> {
+    fn encode(&self, out: &mut Vec<u8>) {
         let c = self.checkpoint;
-        let field = |name: &str, value: Value| (name.to_string(), value);
-        Value::Object(vec![
-            field("base", self.base.serialize_value()),
-            field("next_day", c.next_day.serialize_value()),
-            field("rng_state", c.rng_state.serialize_value()),
-            field("current", c.current.serialize_value()),
-            field("profiles", c.profiles.serialize_value()),
-            field("last_raw", c.last_raw.serialize_value()),
-            field("records", c.records[self.base..].serialize_value()),
-        ])
+        u64::try_from(self.base).unwrap_or(u64::MAX).encode(out);
+        c.next_day.encode(out);
+        c.rng_state.encode(out);
+        c.current.encode(out);
+        c.profiles.encode(out);
+        c.last_raw.encode(out);
+        c.records[self.base..].encode(out);
     }
 }
 
 /// A replayed center delta: the live state of one commit plus the
-/// ledger's records from index `base` on. Decoded from the shape
-/// [`CenterDeltaRef`] writes.
-#[derive(Debug, Deserialize)]
+/// ledger's records from index `base` on. Decoded from what
+/// [`CenterDeltaRef`] writes; the field order is the format.
+#[derive(Debug, Decode)]
 pub(crate) struct CenterDelta {
     base: u64,
     next_day: u64,

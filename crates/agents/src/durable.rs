@@ -15,10 +15,11 @@
 //!
 //! Every log call is **append → flush → apply**: the record is durable
 //! before the caller treats the state transition as committed.
-//! Payloads travel through the bit-exact
+//! Payloads travel through the bit-exact, positional
 //! [`snapshot`] codec, because center
 //! checkpoints legitimately carry NaN (`last_raw` preserves household
-//! submissions verbatim) and JSON would reject them.
+//! submissions verbatim) and JSON would reject them. Each payload is
+//! encoded into one buffer the journal keeps across appends.
 //!
 //! ## Record kinds
 //!
@@ -82,6 +83,7 @@ use enki_durable::prelude::{
 use enki_serve::prelude::IngestCheckpoint;
 use enki_serve::snapshot;
 use enki_telemetry::Recorder;
+use serde::Encode;
 
 use crate::center::{CenterCheckpoint, CenterDelta};
 use crate::oracle;
@@ -145,16 +147,22 @@ pub struct RecoveredState {
 
 impl RecoveredState {
     /// The mandatory post-recovery audit. Recovered state is adopted
-    /// only if (a) every surviving record decoded, and (b) the chaos
+    /// only if (a) every surviving record decoded, (b) the center's
+    /// live state follows its ledger — the newest settled day lies
+    /// below the next day, and a day in progress is the one before the
+    /// next day and newer than every settled day — and (c) the chaos
     /// oracle finds the recovered settlement history consistent with
     /// the mechanism invariants (budget balance, at-most-one bill,
-    /// record ordering, ...).
+    /// record ordering, ...). Check (b) also backs up the positional
+    /// decoder: a schema slip that shifts a value into the wrong field
+    /// can show there.
     ///
     /// # Errors
     ///
     /// [`enki_core::Error::CorruptCheckpoint`] when a CRC-valid record
     /// failed to decode; [`enki_core::Error::RecoveryAudit`] when the
-    /// recovered records violate a mechanism invariant.
+    /// live state contradicts the ledger (`"live_state_behind_ledger"`)
+    /// or the recovered records violate a mechanism invariant.
     #[must_use = "an unchecked audit adopts possibly-corrupt recovered state"]
     pub fn audit(
         &self,
@@ -164,6 +172,16 @@ impl RecoveredState {
         if self.undecodable > 0 {
             return Err(enki_core::Error::CorruptCheckpoint {
                 kind: self.first_undecodable.unwrap_or("unknown"),
+            });
+        }
+        if self
+            .center
+            .as_ref()
+            .is_some_and(|c| !c.live_state_follows_ledger())
+        {
+            return Err(enki_core::Error::RecoveryAudit {
+                invariant: "live_state_behind_ledger".to_string(),
+                violations: 1,
             });
         }
         let records = self.center.as_ref().map_or(&[][..], |c| c.records());
@@ -196,6 +214,8 @@ pub struct Journal {
     /// open, recovery and compaction, which makes the next center
     /// commit a full record.
     held_twice: usize,
+    /// Encode buffer, reused by every append and compaction.
+    buf: Vec<u8>,
 }
 
 impl fmt::Debug for Journal {
@@ -232,6 +252,7 @@ impl Journal {
             last_center: state.center.clone(),
             last_ingest: state.ingest.clone(),
             held_twice: 0,
+            buf: Vec::new(),
         };
         journal.note_recovery(&state);
         Ok((journal, state))
@@ -267,9 +288,9 @@ impl Journal {
             .map(|last| last.records().len());
         let base = held_once.map_or(0, |_| self.held_twice);
         let lsn = if base == 0 {
-            self.log(REC_CENTER, &snapshot::encode(checkpoint))?
+            self.log(REC_CENTER, checkpoint)?
         } else {
-            self.log(REC_CENTER_DELTA, &snapshot::encode(&checkpoint.delta(base)))?
+            self.log(REC_CENTER_DELTA, &checkpoint.delta(base))?
         };
         // This record adds one copy of everything it carried: what the
         // log held once it now holds twice.
@@ -294,7 +315,7 @@ impl Journal {
     /// Returns [`WalError`] when the record could not be made durable.
     #[must_use = "an unlogged commit is not durable; check the error"]
     pub fn log_ingest(&mut self, checkpoint: &IngestCheckpoint) -> Result<Lsn, WalError> {
-        let lsn = self.log(REC_INGEST, &snapshot::encode(checkpoint))?;
+        let lsn = self.log(REC_INGEST, checkpoint)?;
         self.last_ingest = Some(checkpoint.clone());
         self.maybe_compact()?;
         Ok(lsn)
@@ -356,8 +377,9 @@ impl Journal {
             .and_then(|a| a.downcast_mut())
     }
 
-    fn log(&mut self, kind: u8, payload: &[u8]) -> Result<Lsn, WalError> {
-        let lsn = self.wal.append(kind, payload)?;
+    fn log<T: Encode + ?Sized>(&mut self, kind: u8, value: &T) -> Result<Lsn, WalError> {
+        snapshot::encode_into(value, &mut self.buf);
+        let lsn = self.wal.append(kind, &self.buf)?;
         self.wal.flush()?;
         self.appends_since_compact += 1;
         if let Some(r) = self.recorder.as_ref() {
@@ -379,7 +401,8 @@ impl Journal {
         // completes.
         self.held_twice = 0;
         let pair = (&self.last_center, &self.last_ingest);
-        self.wal.compact(REC_COMPACT, &snapshot::encode(&pair))?;
+        snapshot::encode_into(&pair, &mut self.buf);
+        self.wal.compact(REC_COMPACT, &self.buf)?;
         self.appends_since_compact = 0;
         if let Some(r) = self.recorder.as_ref() {
             r.incr("durable.compactions", 1);
@@ -476,6 +499,7 @@ mod tests {
     use enki_core::validation::RawPreference;
     use enki_durable::prelude::{FaultPlan, MemStorage};
     use enki_serve::prelude::IngestConfig;
+    use serde::{Deserialize, Serialize, Value};
 
     /// Runs a serve runtime to quiescence and hands back its center,
     /// whose snapshot then carries `days` settled records.
@@ -578,8 +602,13 @@ mod tests {
         let mut checkpoint = center.snapshot();
         // Bit-exact tampering below the CRC: duplicate the settled
         // day's record, which breaks record ordering/uniqueness.
-        let cloned = checkpoint.records()[0].clone();
-        checkpoint_records_push(&mut checkpoint, cloned);
+        let cloned = checkpoint.records()[0].serialize_value();
+        edit_field(&mut checkpoint, "records", |records| {
+            let Value::Array(items) = records else {
+                panic!("records serialize to an array")
+            };
+            items.push(cloned);
+        });
         let (mut journal, _) =
             Journal::open(MemStorage::new(), JournalConfig::default()).unwrap();
         journal.log_center(&checkpoint).unwrap();
@@ -611,25 +640,222 @@ mod tests {
         );
     }
 
+    /// The live half contradicts the ledger in a CRC-valid checkpoint:
+    /// restored, the center would settle a recorded day again.
+    #[test]
+    fn live_state_behind_its_ledger_fails_the_audit() {
+        let mut rt = settled(2);
+        // Mid-day 2: next_day is 3 and day 2 is in progress.
+        rt.run_ticks(50);
+        let center = rt.center();
+        let newest = center.records().last().unwrap().day;
+        let as_uint = |day: u64| Value::UInt(day);
+        let restarted = |edit: &dyn Fn(&mut CenterCheckpoint)| {
+            let mut checkpoint = center.snapshot();
+            assert!(checkpoint.live_state_follows_ledger());
+            edit(&mut checkpoint);
+            let (mut journal, _) =
+                Journal::open(MemStorage::new(), JournalConfig::default()).unwrap();
+            journal.log_center(&checkpoint).unwrap();
+            journal
+                .recover()
+                .unwrap()
+                .audit(center.roster(), center.enki().config())
+        };
+        let refused = Err(enki_core::Error::RecoveryAudit {
+            invariant: "live_state_behind_ledger".to_string(),
+            violations: 1,
+        });
+        // The next day is the newest settled day.
+        let same_day = |c: &mut CenterCheckpoint| {
+            edit_field(c, "current", |current| *current = Value::Null);
+            edit_field(c, "next_day", |next| *next = as_uint(newest));
+        };
+        assert_eq!(restarted(&same_day), refused);
+        // The day in progress is the newest settled day.
+        let settled_in_progress = |c: &mut CenterCheckpoint| {
+            edit_field(c, "next_day", |next| *next = as_uint(newest + 1));
+            edit_field(c, "current", |current| {
+                let Value::Object(fields) = current else {
+                    panic!("a day is in progress")
+                };
+                for (name, value) in fields {
+                    if name == "day" {
+                        *value = as_uint(newest);
+                    }
+                }
+            });
+        };
+        assert_eq!(restarted(&settled_in_progress), refused);
+        // The day in progress is not the day before next_day.
+        let skewed = |c: &mut CenterCheckpoint| {
+            edit_field(c, "next_day", |next| *next = as_uint(newest + 5));
+        };
+        assert_eq!(restarted(&skewed), refused);
+        assert_eq!(restarted(&|_: &mut CenterCheckpoint| {}), Ok(()));
+    }
+
+    /// A delta whose base lies past the rebuilt ledger — here it skips
+    /// a day — fails closed instead of leaving a silent gap.
+    #[test]
+    fn delta_skipping_a_day_fails_closed() {
+        let rt = settled(3);
+        let full = rt.center().snapshot();
+        let roster = || rt.center().roster().to_vec();
+
+        // A full record holding day 0 only, then a delta based at index
+        // 2: day 1 is in neither.
+        let mut day0 = full.clone();
+        edit_field(&mut day0, "records", |records| {
+            let Value::Array(items) = records else {
+                panic!("records serialize to an array")
+            };
+            items.truncate(1);
+        });
+        let full_day0 = snapshot::encode(&day0);
+        let delta = snapshot::encode(&full.delta(2));
+
+        let write = |records: &[(u8, &[u8])]| {
+            let (mut wal, _) = Wal::open(
+                Box::new(MemStorage::new()) as Box<dyn Storage>,
+                WalConfig::default(),
+            )
+            .unwrap();
+            for (kind, payload) in records {
+                wal.append(*kind, payload).unwrap();
+            }
+            wal.flush().unwrap();
+            let (_, state) = Journal::open(wal.into_storage(), JournalConfig::default()).unwrap();
+            state
+        };
+
+        let state = write(&[(REC_CENTER, &full_day0), (REC_CENTER_DELTA, &delta)]);
+        assert_eq!(
+            state.audit(&roster(), &EnkiConfig::default()),
+            Err(enki_core::Error::CorruptCheckpoint { kind: "center" })
+        );
+
+        // The same delta based at index 1 fills the gap with day 1: it
+        // applies, and the result is the full three-day checkpoint.
+        let filled = snapshot::encode(&full.delta(1));
+        let state = write(&[(REC_CENTER, &full_day0), (REC_CENTER_DELTA, &filled)]);
+        state.audit(&roster(), &EnkiConfig::default()).unwrap();
+        assert_eq!(state.center.as_ref(), Some(&full));
+
+        // A later full record replaces a broken ledger: the gap is covered.
+        let full_bytes = snapshot::encode(&full);
+        let state = write(&[
+            (REC_CENTER, &full_day0),
+            (REC_CENTER_DELTA, &delta),
+            (REC_CENTER, &full_bytes),
+        ]);
+        state.audit(&roster(), &EnkiConfig::default()).unwrap();
+        assert_eq!(state.center.as_ref(), Some(&full));
+    }
+
+    /// The hand-written delta writer and the derived delta reader agree:
+    /// a delta decodes, and applied to the ledger it extends, rebuilds
+    /// the checkpoint it was taken from.
+    #[test]
+    fn delta_writer_matches_the_derived_reader() {
+        let full = settled(3).center().snapshot();
+        for base in 0..=3 {
+            let bytes = snapshot::encode(&full.delta(base));
+            let delta: CenterDelta = snapshot::decode(&bytes).expect("a delta decodes");
+            let mut rebuilt = full.clone();
+            assert!(rebuilt.apply_delta(delta), "base {base}");
+            assert_eq!(rebuilt, full);
+        }
+    }
+
+    /// Logs written in the retired tagged form — field names and a type
+    /// tag on every value — are refused as corrupt, never misread.
+    #[test]
+    fn a_log_in_the_retired_tagged_form_fails_closed() {
+        let center = settled(1).center().snapshot();
+        let ingest =
+            enki_serve::ingest::IngestFrontEnd::new(IngestConfig::default(), 3).checkpoint();
+        let pair = (Some(center.clone()), Some(ingest.clone()));
+        for (kind, tree, stream) in [
+            (REC_CENTER, center.serialize_value(), "center"),
+            (REC_INGEST, ingest.serialize_value(), "ingest"),
+            (REC_COMPACT, pair.serialize_value(), "compaction"),
+        ] {
+            let mut payload = Vec::new();
+            tagged(&tree, &mut payload);
+            let (mut wal, _) = Wal::open(
+                Box::new(MemStorage::new()) as Box<dyn Storage>,
+                WalConfig::default(),
+            )
+            .unwrap();
+            wal.append(kind, &payload).unwrap();
+            wal.flush().unwrap();
+            let (_, state) = Journal::open(wal.into_storage(), JournalConfig::default()).unwrap();
+            assert_eq!(state.undecodable, 1, "{stream}");
+            assert_eq!(
+                state.audit(&[], &EnkiConfig::default()),
+                Err(enki_core::Error::CorruptCheckpoint { kind: stream })
+            );
+        }
+    }
+
+    /// The retired tagged payload form, rendered from a value tree: a
+    /// tag byte 0–8 on every value and every field name spelled out.
+    fn tagged(value: &Value, out: &mut Vec<u8>) {
+        let len = |out: &mut Vec<u8>, n: usize| {
+            out.extend_from_slice(&u32::try_from(n).unwrap().to_le_bytes());
+        };
+        match value {
+            Value::Null => out.push(0),
+            Value::Bool(b) => out.push(1 + u8::from(*b)),
+            Value::Int(v) => {
+                out.push(3);
+                out.extend_from_slice(&v.to_le_bytes());
+            }
+            Value::UInt(v) => {
+                out.push(4);
+                out.extend_from_slice(&v.to_le_bytes());
+            }
+            Value::Float(v) => {
+                out.push(5);
+                out.extend_from_slice(&v.to_bits().to_le_bytes());
+            }
+            Value::String(s) => {
+                out.push(6);
+                len(out, s.len());
+                out.extend_from_slice(s.as_bytes());
+            }
+            Value::Array(items) => {
+                out.push(7);
+                len(out, items.len());
+                for item in items {
+                    tagged(item, out);
+                }
+            }
+            Value::Object(fields) => {
+                out.push(8);
+                len(out, fields.len());
+                for (name, item) in fields {
+                    len(out, name.len());
+                    out.extend_from_slice(name.as_bytes());
+                    tagged(item, out);
+                }
+            }
+        }
+    }
+
     /// Test-only back door: `CenterCheckpoint` fields are private, so
     /// tampering goes through the serialized tree.
-    fn checkpoint_records_push(
-        checkpoint: &mut CenterCheckpoint,
-        record: crate::center::DayRecord,
-    ) {
-        use serde::{Deserialize, Serialize, Value};
+    fn edit_field(checkpoint: &mut CenterCheckpoint, name: &str, edit: impl FnOnce(&mut Value)) {
         let mut tree = checkpoint.serialize_value();
         let Value::Object(fields) = &mut tree else {
             panic!("checkpoint serializes to an object")
         };
-        for (name, value) in fields.iter_mut() {
-            if name == "records" {
-                let Value::Array(items) = value else {
-                    panic!("records serialize to an array")
-                };
-                items.push(record.serialize_value());
-            }
-        }
+        let (_, value) = fields
+            .iter_mut()
+            .find(|(field, _)| field == name)
+            .expect("the checkpoint has the field");
+        edit(value);
         *checkpoint = CenterCheckpoint::deserialize_value(&tree).unwrap();
     }
 }

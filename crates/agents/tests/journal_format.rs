@@ -7,7 +7,9 @@
 //! pin the claims the durability docs make about that format:
 //!
 //! * one lost center record — delta, full or compaction — rolls back
-//!   at most to the previous commit and never opens a ledger gap;
+//!   at most to the previous commit and never opens a ledger gap (a
+//!   delta that would leave a gap fails closed: `durable.rs` unit
+//!   tests);
 //! * logs written before deltas existed (full records only) replay;
 //! * a center commit's size does not grow with the settled history.
 
@@ -185,88 +187,7 @@ fn any_single_lost_center_record_rolls_back_at_most_one_commit() {
     }
 }
 
-/// (b) A delta whose base lies past the rebuilt ledger — here it skips
-/// a day — fails closed instead of leaving a silent gap.
-#[test]
-fn delta_skipping_a_day_fails_closed() {
-    let (rt, _) = run_collecting_commits(JournalConfig::default(), 3);
-    let full = rt.center().snapshot();
-    let records = full.records().to_vec();
-    assert_eq!(records.len(), 3);
-
-    // A full record holding day 0 only, then a delta based at index 2:
-    // day 1 is in neither.
-    let mut tree = serde::Serialize::serialize_value(&full);
-    let serde::Value::Object(fields) = &mut tree else {
-        panic!("checkpoint serializes to an object")
-    };
-    let day0 = serde::Serialize::serialize_value(&records[..1]);
-    let mut delta_fields: Vec<(String, serde::Value)> = Vec::new();
-    for (name, value) in fields.iter_mut() {
-        if name == "records" {
-            delta_fields.push((
-                name.clone(),
-                serde::Serialize::serialize_value(&records[2..]),
-            ));
-            *value = day0.clone();
-        } else {
-            delta_fields.push((name.clone(), value.clone()));
-        }
-    }
-    delta_fields.push(("base".to_string(), serde::Value::UInt(2)));
-    let mut full_day0 = Vec::new();
-    snapshot::encode_value(&tree, &mut full_day0);
-    let mut delta = Vec::new();
-    snapshot::encode_value(&serde::Value::Object(delta_fields.clone()), &mut delta);
-
-    let write = |records: &[(u8, &[u8])]| {
-        let (mut wal, _) = Wal::open(
-            Box::new(MemStorage::new()) as Box<dyn Storage>,
-            WalConfig::default(),
-        )
-        .unwrap();
-        for (kind, payload) in records {
-            wal.append(*kind, payload).unwrap();
-        }
-        wal.flush().unwrap();
-        let (_, state) = Journal::open(wal.into_storage(), JournalConfig::default()).unwrap();
-        state
-    };
-
-    let state = write(&[(REC_CENTER, &full_day0), (REC_CENTER_DELTA, &delta)]);
-    assert_eq!(
-        state.audit(&roster(), &EnkiConfig::default()),
-        Err(enki_core::Error::CorruptCheckpoint { kind: "center" })
-    );
-
-    // The same delta based at index 1 fills the gap with day 1: it
-    // applies, and the result is the full three-day checkpoint.
-    for (name, value) in &mut delta_fields {
-        if name == "base" {
-            *value = serde::Value::UInt(1);
-        }
-        if name == "records" {
-            *value = serde::Serialize::serialize_value(&records[1..]);
-        }
-    }
-    let mut filled = Vec::new();
-    snapshot::encode_value(&serde::Value::Object(delta_fields), &mut filled);
-    let state = write(&[(REC_CENTER, &full_day0), (REC_CENTER_DELTA, &filled)]);
-    state.audit(&roster(), &EnkiConfig::default()).unwrap();
-    assert_eq!(state.center.as_ref(), Some(&full));
-
-    // A later full record replaces a broken ledger: the gap is covered.
-    let full_bytes = snapshot::encode(&full);
-    let state = write(&[
-        (REC_CENTER, &full_day0),
-        (REC_CENTER_DELTA, &delta),
-        (REC_CENTER, &full_bytes),
-    ]);
-    state.audit(&roster(), &EnkiConfig::default()).unwrap();
-    assert_eq!(state.center.as_ref(), Some(&full));
-}
-
-/// (c) A log in the format that predates deltas — full center records,
+/// (b) A log in the format that predates deltas — full center records,
 /// ingest records and a compaction record — still replays, and the
 /// journal keeps appending to it.
 #[test]
@@ -301,7 +222,7 @@ fn full_record_logs_still_recover() {
     assert_eq!(state.center.as_ref(), Some(newest));
 }
 
-/// (d) A center commit's journaled bytes stay flat as the history
+/// (c) A center commit's journaled bytes stay flat as the history
 /// grows: each phase commit of the last of 40 days (day 39) is within
 /// 1.5× of the same phase on day 2. Compaction is off, so no measured
 /// commit is the full record that follows a compaction.

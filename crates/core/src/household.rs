@@ -7,7 +7,7 @@
 
 use std::fmt;
 
-use serde::{Deserialize, Serialize};
+use serde::{Decode, Deserialize, Encode, Serialize};
 
 use crate::error::{Error, Result};
 use crate::time::Interval;
@@ -23,7 +23,19 @@ use crate::time::Interval;
 /// assert_eq!(id.to_string(), "h3");
 /// ```
 #[derive(
-    Debug, Clone, Copy, PartialEq, Eq, PartialOrd, Ord, Hash, Serialize, Deserialize, Default,
+    Debug,
+    Clone,
+    Copy,
+    PartialEq,
+    Eq,
+    PartialOrd,
+    Ord,
+    Hash,
+    Serialize,
+    Deserialize,
+    Encode,
+    Decode,
+    Default,
 )]
 pub struct HouseholdId(u32);
 
@@ -69,7 +81,9 @@ impl fmt::Display for HouseholdId {
 /// # Ok(())
 /// # }
 /// ```
-#[derive(Debug, Clone, Copy, PartialEq, Eq, PartialOrd, Ord, Hash, Serialize, Deserialize)]
+#[derive(
+    Debug, Clone, Copy, PartialEq, Eq, PartialOrd, Ord, Hash, Serialize, Deserialize, Encode, Decode,
+)]
 pub struct Preference {
     window: Interval,
     duration: u8,
@@ -315,7 +329,7 @@ impl HouseholdType {
 }
 
 /// A preference report submitted to the neighborhood center by one household.
-#[derive(Debug, Clone, Copy, PartialEq, Eq, Serialize, Deserialize)]
+#[derive(Debug, Clone, Copy, PartialEq, Eq, Serialize, Deserialize, Encode, Decode)]
 pub struct Report {
     /// Reporting household.
     pub household: HouseholdId,

@@ -8,7 +8,7 @@
 use std::fmt;
 use std::ops::{Add, AddAssign};
 
-use serde::{Deserialize, Serialize};
+use serde::{Decode, Deserialize, Encode, Serialize};
 
 use crate::time::{Interval, HOURS_PER_DAY};
 
@@ -28,7 +28,7 @@ use crate::time::{Interval, HOURS_PER_DAY};
 /// # Ok(())
 /// # }
 /// ```
-#[derive(Debug, Clone, Copy, PartialEq, Serialize, Deserialize)]
+#[derive(Debug, Clone, Copy, PartialEq, Serialize, Deserialize, Encode, Decode)]
 pub struct LoadProfile {
     hours: [f64; HOURS_PER_DAY],
 }

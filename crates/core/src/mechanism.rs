@@ -16,7 +16,7 @@
 //! [`Enki::proportional_settlement`].
 
 use rand::Rng;
-use serde::{Deserialize, Serialize};
+use serde::{Decode, Deserialize, Encode, Serialize};
 
 use crate::allocation::{greedy_allocation, GreedyOutcome};
 use crate::config::EnkiConfig;
@@ -32,7 +32,7 @@ use crate::time::Interval;
 use crate::valuation::{satisfied_slots, valuation};
 
 /// One household's suggested allocation.
-#[derive(Debug, Clone, Copy, PartialEq, Eq, Serialize, Deserialize)]
+#[derive(Debug, Clone, Copy, PartialEq, Eq, Serialize, Deserialize, Encode, Decode)]
 pub struct Assignment {
     /// The household this window is suggested to.
     pub household: HouseholdId,
@@ -42,7 +42,7 @@ pub struct Assignment {
 }
 
 /// Result of the allocation step for a whole neighborhood.
-#[derive(Debug, Clone, PartialEq, Serialize, Deserialize)]
+#[derive(Debug, Clone, PartialEq, Serialize, Deserialize, Encode, Decode)]
 pub struct AllocationOutcome {
     /// Suggested windows aligned with the input reports.
     pub assignments: Vec<Assignment>,
@@ -68,7 +68,7 @@ impl AllocationOutcome {
 }
 
 /// A household's settled day: scores, payment, and the data they came from.
-#[derive(Debug, Clone, Copy, PartialEq, Serialize, Deserialize)]
+#[derive(Debug, Clone, Copy, PartialEq, Serialize, Deserialize, Encode, Decode)]
 pub struct SettlementEntry {
     /// The settled household.
     pub household: HouseholdId,
@@ -91,7 +91,7 @@ pub struct SettlementEntry {
 }
 
 /// The settled day for a whole neighborhood.
-#[derive(Debug, Clone, PartialEq, Serialize, Deserialize)]
+#[derive(Debug, Clone, PartialEq, Serialize, Deserialize, Encode, Decode)]
 pub struct Settlement {
     /// Per-household results aligned with the reports passed to
     /// [`Enki::settle`].

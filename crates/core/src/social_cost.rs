@@ -11,10 +11,10 @@
 //! value ½, which the paper's Theorem 2 derivation also uses
 //! (`Ψ″_a = k/2 · 1/F_a` for a cooperating household).
 
-use serde::{Deserialize, Serialize};
+use serde::{Decode, Deserialize, Encode, Serialize};
 
 /// A household's normalized score components and combined social cost.
-#[derive(Debug, Clone, Copy, PartialEq, Serialize, Deserialize)]
+#[derive(Debug, Clone, Copy, PartialEq, Serialize, Deserialize, Encode, Decode)]
 pub struct SocialCost {
     /// Normalized flexibility `F_i ∈ [0.5, 1.5]`.
     pub normalized_flexibility: f64,

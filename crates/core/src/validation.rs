@@ -47,7 +47,7 @@
 
 use std::fmt;
 
-use serde::{Deserialize, Serialize};
+use serde::{Decode, Deserialize, Encode, Serialize};
 
 use crate::household::{HouseholdId, Preference, Report};
 use crate::time::DAY_END;
@@ -55,7 +55,7 @@ use crate::time::DAY_END;
 /// An unvalidated preference as it arrives off the wire: three raw
 /// numbers claiming to be `(α̂, β̂, v)`. Nothing is checked at
 /// construction — checking is the admission layer's job.
-#[derive(Debug, Clone, Copy, PartialEq, Serialize, Deserialize)]
+#[derive(Debug, Clone, Copy, PartialEq, Serialize, Deserialize, Encode, Decode)]
 pub struct RawPreference {
     /// Claimed window begin hour (may be anything a float can hold).
     pub begin: f64,
@@ -95,7 +95,7 @@ impl fmt::Display for RawPreference {
 }
 
 /// An unvalidated report: a household id plus a raw preference.
-#[derive(Debug, Clone, Copy, PartialEq, Serialize, Deserialize)]
+#[derive(Debug, Clone, Copy, PartialEq, Serialize, Deserialize, Encode, Decode)]
 pub struct RawReport {
     /// Reporting household.
     pub household: HouseholdId,

@@ -46,6 +46,7 @@ const FLOW_EXEMPT_CRATES: &[&str] = &["bench", "lint", "obs"];
 const SINK_FNS: &[&str] = &[
     "append",
     "encode",
+    "encode_into",
     "compact",
     "checkpoint",
     "snapshot",

@@ -36,7 +36,7 @@ use enki_telemetry::trace::{stage, TraceContext};
 use enki_telemetry::{FieldValue, Recorder};
 use rand::rngs::StdRng;
 use rand::SeedableRng;
-use serde::{Deserialize, Serialize};
+use serde::{Decode, Deserialize, Encode, Serialize};
 
 use crate::backoff::Backoff;
 use crate::codec::FrameDecoder;
@@ -97,7 +97,7 @@ pub enum ProducerSignal {
 }
 
 /// Running totals for one front end.
-#[derive(Debug, Clone, Copy, PartialEq, Eq, Default, Serialize, Deserialize)]
+#[derive(Debug, Clone, Copy, PartialEq, Eq, Default, Serialize, Deserialize, Encode, Decode)]
 pub struct IngestStats {
     /// Reports enqueued successfully.
     pub enqueued: u64,
@@ -133,7 +133,7 @@ pub struct IngestStats {
 /// in the snapshot.
 ///
 /// [`CenterAgent::commit`]: https://docs.rs/enki-agents
-#[derive(Debug, Clone, PartialEq, Serialize, Deserialize)]
+#[derive(Debug, Clone, PartialEq, Serialize, Deserialize, Encode, Decode)]
 pub struct IngestCheckpoint {
     queue: Vec<QueuedReport>,
     stats: IngestStats,

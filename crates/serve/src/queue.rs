@@ -15,7 +15,7 @@ use std::collections::VecDeque;
 
 use enki_core::validation::RawReport;
 use enki_telemetry::trace::TraceContext;
-use serde::{Deserialize, Serialize};
+use serde::{Decode, Deserialize, Encode, Serialize};
 // (Serialize/Deserialize are for QueuedReport and Offer only; the queue
 // itself checkpoints through snapshot()/restore().)
 
@@ -24,7 +24,7 @@ use crate::Tick;
 
 /// One report waiting for admission, stamped with everything the shed
 /// policy needs to rank it.
-#[derive(Debug, Clone, Copy, PartialEq, Serialize, Deserialize)]
+#[derive(Debug, Clone, Copy, PartialEq, Serialize, Deserialize, Encode, Decode)]
 pub struct QueuedReport {
     /// Day the report belongs to.
     pub day: u64,

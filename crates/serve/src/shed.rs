@@ -18,14 +18,14 @@
 
 use std::fmt;
 
-use serde::{Deserialize, Serialize};
+use serde::{Decode, Deserialize, Encode, Serialize};
 
 /// How expensive it is to shed one queued report.
 ///
 /// The ordering is the shedding priority: `Replaceable < Fresh`, i.e.
 /// replaceable work is cheaper and goes first.
 #[derive(
-    Debug, Clone, Copy, PartialEq, Eq, PartialOrd, Ord, Serialize, Deserialize,
+    Debug, Clone, Copy, PartialEq, Eq, PartialOrd, Ord, Serialize, Deserialize, Encode, Decode,
 )]
 pub enum ShedCost {
     /// The center holds a standing profile for this household; the
@@ -93,7 +93,7 @@ impl fmt::Display for ShedClass {
 
 /// Per-class shed counters.
 #[derive(
-    Debug, Clone, Copy, PartialEq, Eq, Default, Serialize, Deserialize,
+    Debug, Clone, Copy, PartialEq, Eq, Default, Serialize, Deserialize, Encode, Decode,
 )]
 pub struct ShedStats {
     /// Reports lost to malformed frames.

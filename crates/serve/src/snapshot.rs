@@ -1,24 +1,33 @@
 //! Binary snapshot codec: bit-exact serialization for checkpoint
 //! types headed to durable storage.
 //!
-//! Checkpoints (`IngestCheckpoint`, the center's `CenterCheckpoint`)
-//! serialize through the workspace serde's [`Value`] tree. The JSON
-//! renderer is the wrong carrier for durable state: it rejects
-//! non-finite floats outright, and the center's standing `last_raw`
-//! map legitimately holds whatever bit patterns households sent —
-//! including NaN and ±∞, which admission quarantines but the replay
-//! detector must remember verbatim. This module renders the same
-//! `Value` tree into a compact tagged binary form instead, with every
-//! float carried as its raw 8-byte IEEE-754 image, so
-//! encode → decode is the identity **bit for bit** for every value the
-//! workspace can construct.
+//! A payload is one format byte, [`FORMAT`], then the value in the
+//! workspace serde's positional form ([`serde::Encode`] /
+//! [`serde::Decode`]): each field in declaration order, written
+//! straight into the output buffer and read straight back — no
+//! intermediate tree, no field names, no type tags. Integers are
+//! little-endian at their own width, lengths are `u32` counts, an
+//! enum is its variant index, and every float is its raw 8-byte
+//! IEEE-754 image. The center's standing `last_raw` map legitimately
+//! holds whatever bit patterns households sent — NaN and ±∞ included,
+//! which admission quarantines but the replay detector must remember
+//! verbatim — so encode → decode is the identity **bit for bit** for
+//! every value the workspace can construct.
 //!
-//! The byte discipline matches the wire [`codec`](crate::codec):
-//! little-endian fixed-width integers, `u32` length prefixes, total
-//! (panic-free) decoding that returns `None` on any malformed input,
-//! and hard caps so corrupt length fields cannot amplify into huge
-//! allocations. Integrity is the storage layer's job (the WAL
-//! checksums every record); this codec's job is only shape.
+//! Nothing in a payload names its fields, so the layout *is* the
+//! declaration: adding, removing, reordering or retyping a field of a
+//! journaled type changes the format, and logs written before the
+//! change no longer decode.
+//!
+//! Decoding is total: [`decode`] returns `None`, never panics, on
+//! truncation, trailing bytes, an unknown enum index, a bool byte other
+//! than 0 or 1, invalid UTF-8, out-of-order map keys, a count above
+//! [`MAX_LEN`] or above the bytes left, or a payload that does not
+//! start with [`FORMAT`]. No allocation is sized by an unchecked count.
+//! Map keys must be strictly ascending, so decode then encode gives
+//! back every accepted payload byte for byte. Integrity is the storage
+//! layer's job (the WAL checksums every record); this codec's job is
+//! only shape.
 //!
 //! ```
 //! use enki_serve::snapshot;
@@ -30,178 +39,45 @@
 //! assert_eq!(back[1], (2, 0.5));
 //! ```
 
-use serde::{Deserialize, Serialize, Value};
+use serde::bin::Reader;
+use serde::{Decode, Encode};
 
-/// Nesting cap during decode: deeper trees are rejected as malformed
-/// rather than risking unbounded recursion on crafted input. Real
-/// checkpoint trees are under a dozen levels deep.
-pub const MAX_DEPTH: usize = 64;
+/// The first byte of every payload. It lies outside the tags 0–8 of
+/// the retired tagged form, whose payloads therefore fail to decode
+/// instead of being misread.
+pub const FORMAT: u8 = 0xE1;
 
-/// Cap on any single length prefix (strings, arrays, objects), same
-/// spirit as the wire codec's frame cap: a corrupt length field must
-/// not translate into a giant allocation.
+/// Cap on any single count (strings, sequences, maps), same spirit as
+/// the wire codec's frame cap: a corrupt count must not translate into
+/// a giant allocation.
 pub const MAX_LEN: u32 = 64 * 1024 * 1024;
 
-const TAG_NULL: u8 = 0;
-const TAG_FALSE: u8 = 1;
-const TAG_TRUE: u8 = 2;
-const TAG_INT: u8 = 3;
-const TAG_UINT: u8 = 4;
-const TAG_FLOAT: u8 = 5;
-const TAG_STRING: u8 = 6;
-const TAG_ARRAY: u8 = 7;
-const TAG_OBJECT: u8 = 8;
-
-/// Encodes any serializable value to the binary snapshot form.
+/// Encodes a value to the binary snapshot form.
 #[must_use]
-pub fn encode<T: Serialize + ?Sized>(value: &T) -> Vec<u8> {
+pub fn encode<T: Encode + ?Sized>(value: &T) -> Vec<u8> {
     let mut out = Vec::new();
-    encode_value(&value.serialize_value(), &mut out);
+    encode_into(value, &mut out);
     out
 }
 
+/// Encodes a value into `out`, replacing its contents and keeping its
+/// capacity, so a caller that encodes repeatedly reuses one buffer.
+pub fn encode_into<T: Encode + ?Sized>(value: &T, out: &mut Vec<u8>) {
+    out.clear();
+    out.push(FORMAT);
+    value.encode(out);
+}
+
 /// Decodes a binary snapshot back into a typed value. Returns `None`
-/// for any malformed input: truncation, trailing garbage, over-cap
-/// lengths, invalid UTF-8, over-deep nesting, or a tree that does not
-/// match `T`'s shape.
+/// for any malformed input (see the module docs).
 #[must_use]
-pub fn decode<T: Deserialize>(bytes: &[u8]) -> Option<T> {
-    let mut reader = Reader { bytes, pos: 0 };
-    let value = decode_value(&mut reader, 0)?;
-    if reader.pos != bytes.len() {
+pub fn decode<T: Decode>(bytes: &[u8]) -> Option<T> {
+    let (&FORMAT, body) = bytes.split_first()? else {
         return None;
-    }
-    T::deserialize_value(&value).ok()
-}
-
-/// Renders one [`Value`] tree (the low-level half of [`encode`]).
-pub fn encode_value(value: &Value, out: &mut Vec<u8>) {
-    match value {
-        Value::Null => out.push(TAG_NULL),
-        Value::Bool(false) => out.push(TAG_FALSE),
-        Value::Bool(true) => out.push(TAG_TRUE),
-        Value::Int(v) => {
-            out.push(TAG_INT);
-            out.extend_from_slice(&v.to_le_bytes());
-        }
-        Value::UInt(v) => {
-            out.push(TAG_UINT);
-            out.extend_from_slice(&v.to_le_bytes());
-        }
-        Value::Float(v) => {
-            // Raw IEEE-754 bits: NaN payloads, -0.0, and infinities
-            // all survive, unlike any decimal rendering.
-            out.push(TAG_FLOAT);
-            out.extend_from_slice(&v.to_bits().to_le_bytes());
-        }
-        Value::String(s) => {
-            out.push(TAG_STRING);
-            push_len(out, s.len());
-            out.extend_from_slice(s.as_bytes());
-        }
-        Value::Array(items) => {
-            out.push(TAG_ARRAY);
-            push_len(out, items.len());
-            for item in items {
-                encode_value(item, out);
-            }
-        }
-        Value::Object(fields) => {
-            out.push(TAG_OBJECT);
-            push_len(out, fields.len());
-            for (key, item) in fields {
-                push_len(out, key.len());
-                out.extend_from_slice(key.as_bytes());
-                encode_value(item, out);
-            }
-        }
-    }
-}
-
-fn push_len(out: &mut Vec<u8>, len: usize) {
-    out.extend_from_slice(&u32::try_from(len).unwrap_or(u32::MAX).to_le_bytes());
-}
-
-struct Reader<'a> {
-    bytes: &'a [u8],
-    pos: usize,
-}
-
-impl Reader<'_> {
-    fn u8(&mut self) -> Option<u8> {
-        let b = *self.bytes.get(self.pos)?;
-        self.pos += 1;
-        Some(b)
-    }
-
-    fn take<const N: usize>(&mut self) -> Option<[u8; N]> {
-        let slice = self.bytes.get(self.pos..self.pos + N)?;
-        self.pos += N;
-        slice.try_into().ok()
-    }
-
-    fn len(&mut self) -> Option<usize> {
-        let len = u32::from_le_bytes(self.take::<4>()?);
-        if len > MAX_LEN {
-            return None;
-        }
-        Some(len as usize)
-    }
-
-    fn string(&mut self) -> Option<String> {
-        let len = self.len()?;
-        let slice = self.bytes.get(self.pos..self.pos.checked_add(len)?)?;
-        self.pos += len;
-        String::from_utf8(slice.to_vec()).ok()
-    }
-
-    fn remaining(&self) -> usize {
-        self.bytes.len().saturating_sub(self.pos)
-    }
-}
-
-fn decode_value(reader: &mut Reader<'_>, depth: usize) -> Option<Value> {
-    if depth > MAX_DEPTH {
-        return None;
-    }
-    match reader.u8()? {
-        TAG_NULL => Some(Value::Null),
-        TAG_FALSE => Some(Value::Bool(false)),
-        TAG_TRUE => Some(Value::Bool(true)),
-        TAG_INT => Some(Value::Int(i64::from_le_bytes(reader.take::<8>()?))),
-        TAG_UINT => Some(Value::UInt(u64::from_le_bytes(reader.take::<8>()?))),
-        TAG_FLOAT => Some(Value::Float(f64::from_bits(u64::from_le_bytes(
-            reader.take::<8>()?,
-        )))),
-        TAG_STRING => Some(Value::String(reader.string()?)),
-        TAG_ARRAY => {
-            let count = reader.len()?;
-            // Each element costs at least one byte: a count beyond the
-            // remaining input is corrupt, not a huge allocation.
-            if count > reader.remaining() {
-                return None;
-            }
-            let mut items = Vec::with_capacity(count.min(1024));
-            for _ in 0..count {
-                items.push(decode_value(reader, depth + 1)?);
-            }
-            Some(Value::Array(items))
-        }
-        TAG_OBJECT => {
-            let count = reader.len()?;
-            if count > reader.remaining() {
-                return None;
-            }
-            let mut fields = Vec::with_capacity(count.min(1024));
-            for _ in 0..count {
-                let key = reader.string()?;
-                let item = decode_value(reader, depth + 1)?;
-                fields.push((key, item));
-            }
-            Some(Value::Object(fields))
-        }
-        _ => None,
-    }
+    };
+    let mut input = Reader::new(body, MAX_LEN);
+    let value = T::decode(&mut input)?;
+    input.is_empty().then_some(value)
 }
 
 #[cfg(test)]
@@ -257,19 +133,20 @@ mod tests {
 
     #[test]
     fn decode_is_total_on_garbage() {
-        // No prefix of a valid encoding, nor arbitrary bytes, may panic.
+        // No prefix of a valid encoding, nor any single-bit flip of it,
+        // may panic.
         let checkpoint = IngestFrontEnd::new(IngestConfig::default(), 5).checkpoint();
         let bytes = encode(&checkpoint);
         for cut in 0..bytes.len() {
-            let _ = decode::<crate::ingest::IngestCheckpoint>(&bytes[..cut]);
+            assert!(decode::<crate::ingest::IngestCheckpoint>(&bytes[..cut]).is_none());
         }
-        for flip in 0..bytes.len().min(64) {
+        for bit in 0..bytes.len() * 8 {
             let mut bad = bytes.clone();
-            bad[flip] ^= 0x55;
+            bad[bit / 8] ^= 1 << (bit % 8);
             let _ = decode::<crate::ingest::IngestCheckpoint>(&bad);
         }
-        assert!(decode::<u64>(&[TAG_ARRAY, 255, 255, 255, 255]).is_none());
-        assert!(decode::<String>(&[TAG_STRING, 4, 0, 0, 0, 0xFF, 0xFE]).is_none());
+        assert!(decode::<Vec<u64>>(&[FORMAT, 255, 255, 255, 255]).is_none());
+        assert!(decode::<String>(&[FORMAT, 2, 0, 0, 0, 0xFF, 0xFE]).is_none());
     }
 
     #[test]
@@ -280,14 +157,16 @@ mod tests {
     }
 
     #[test]
-    fn over_deep_nesting_is_rejected() {
-        // [[[[...]]]]: MAX_DEPTH+2 nested arrays of one element.
-        let mut bytes = Vec::new();
-        for _ in 0..MAX_DEPTH + 2 {
-            bytes.push(TAG_ARRAY);
-            bytes.extend_from_slice(&1u32.to_le_bytes());
+    fn a_payload_in_another_format_is_refused() {
+        let bytes = encode(&7u64);
+        assert!(decode::<u64>(&bytes).is_some());
+        assert!(decode::<u64>(&[]).is_none());
+        // The retired tagged form began with a tag in 0..=8; a `u64`
+        // was tag 4 and eight bytes.
+        for tag in 0..=8 {
+            let mut old = vec![tag];
+            old.extend_from_slice(&7u64.to_le_bytes());
+            assert!(decode::<u64>(&old).is_none(), "tag {tag}");
         }
-        bytes.push(TAG_NULL);
-        assert!(decode::<Vec<u64>>(&bytes).is_none());
     }
 }

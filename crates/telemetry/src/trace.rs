@@ -23,7 +23,7 @@
 //! household id. The per-day solve hangs off the day root directly
 //! (it is shared by every household, not owned by one).
 
-use serde::{Deserialize, Serialize};
+use serde::{Decode, Deserialize, Encode, Serialize};
 
 /// Ordered pipeline stages of one household report, edge to bill.
 ///
@@ -69,7 +69,9 @@ fn fnv_label(label: &str) -> u64 {
 ///
 /// `parent_id == 0` marks a root: span id 0 is never produced by the
 /// derivation (it is remapped), so 0 is free to mean "no parent".
-#[derive(Debug, Clone, Copy, PartialEq, Eq, PartialOrd, Ord, Serialize, Deserialize)]
+#[derive(
+    Debug, Clone, Copy, PartialEq, Eq, PartialOrd, Ord, Serialize, Deserialize, Encode, Decode,
+)]
 pub struct TraceContext {
     /// The trace this context belongs to — one per (seed, day).
     pub trace_id: u64,
