@@ -127,24 +127,6 @@ impl Default for PipelineConfig {
 }
 
 impl PipelineConfig {
-    /// Splits the machine's thread budget with a deployment that already
-    /// runs `occupied` OS threads (e.g. one per household ECC plus the
-    /// center in [`crate::threaded`]): the solver keeps at most the
-    /// spare parallelism, but never drops below 2 threads — the racing
-    /// portfolio — unless it was configured sequential to begin with.
-    /// Because results are bit-identical at every thread count, the
-    /// split is purely a scheduling decision and never changes outcomes.
-    #[must_use]
-    pub fn split_for(self, occupied: usize) -> Self {
-        let available =
-            std::thread::available_parallelism().map_or(1, std::num::NonZeroUsize::get);
-        let spare = available.saturating_sub(occupied).max(2);
-        Self {
-            threads: self.threads.min(spare),
-            ..self
-        }
-    }
-
     /// Tries to improve `greedy` for the admitted `reports`, returning
     /// the refined outcome when the pipeline's best certified schedule is
     /// strictly cheaper and the greedy outcome untouched otherwise —
@@ -581,6 +563,12 @@ impl CenterAgent {
     #[must_use]
     pub fn roster(&self) -> &[HouseholdId] {
         &self.roster
+    }
+
+    /// The timing of every protocol day this center drives.
+    #[must_use]
+    pub fn plan(&self) -> DayPlan {
+        self.plan
     }
 
     /// Settled day records so far: the committed ledger, which a crash

@@ -517,7 +517,7 @@ mod tests {
                 RawPreference::new(f64::from(16 + (i % 6)), 23.0, 2.0),
             ));
         }
-        rt.run_days(days, 100);
+        rt.run_days(days);
         assert_eq!(rt.records().len() as u64, days);
         rt
     }

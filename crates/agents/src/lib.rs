@@ -13,9 +13,13 @@
 //! * [`center`] — the controller: collects reports, allocates, settles,
 //!   bills; missing reports exclude a household, missing readings settle
 //!   as cooperative.
-//! * [`runtime`] — a tick-driven discrete-event loop (reproducible; the
-//!   vehicle for failure-injection tests) with scheduled center crashes
-//!   and a protocol event trace.
+//! * [`driver`] — the one tick-driven day loop every runtime shares
+//!   (reproducible; the vehicle for failure-injection tests): crash
+//!   schedules, the protocol event trace, the write-ahead journal
+//!   barrier with journal-backed recovery, and the telemetry, virtual
+//!   clock, SLO and day-health hooks, generic over a [`Transport`].
+//! * [`runtime`] — the simulated-LAN transport: in-process household
+//!   agents over the [`network`]; [`Runtime`] is the driver over it.
 //! * [`oracle`] — protocol invariant checks (budget balance, at-most-one
 //!   bill, grounded allocations, record integrity) replayed over a
 //!   runtime trace under any fault schedule.
@@ -23,11 +27,12 @@
 //!   journaled through a checksummed write-ahead log
 //!   ([`enki_durable`]), with recovery gated behind a mandatory oracle
 //!   audit.
-//! * [`serve_runtime`] — the center fed through the overload-safe
-//!   [`enki_serve`] ingestion path: wire frames, bounded queues,
-//!   backpressure, and load shedding, under the same oracle.
-//! * [`threaded`] — the same protocol on real threads over crossbeam
-//!   channels, as a deployment skeleton.
+//! * [`serve_runtime`] — the served transport: the center fed through
+//!   the overload-safe [`enki_serve`] ingestion path (wire frames,
+//!   bounded queues, backpressure, load shedding) under the same oracle.
+//! * [`threaded`] — the simulated LAN with each household agent on its
+//!   own OS thread, driven in lockstep: it settles the same bills as the
+//!   in-process run.
 //! * [`decentralized`] — the §VIII extension: token-ring best-response
 //!   dynamics that reach a Nash schedule with no central scheduler.
 //!
@@ -58,9 +63,13 @@
 //! );
 //! let network = SimNetwork::new(NetworkConfig::lossy(0.2), 1);
 //! let mut runtime = Runtime::new(network, center, households);
-//! runtime.run_days(1, 100);
+//! runtime.run_days(1);
 //! assert_eq!(runtime.records().len(), 1);
+//! assert!(check_invariants(&runtime).is_empty());
 //! ```
+//!
+//! [`Transport`]: driver::Transport
+//! [`Runtime`]: runtime::Runtime
 
 // Mechanism crate: no panics and no silently truncating casts outside
 // test code (a panic or a wrapped bill mid-settlement voids Theorem 1).
@@ -84,6 +93,7 @@
 
 pub mod center;
 pub mod decentralized;
+pub mod driver;
 pub mod durable;
 pub mod household;
 pub mod message;
@@ -97,6 +107,7 @@ pub mod threaded;
 pub mod prelude {
     pub use crate::center::{CenterAgent, CenterCheckpoint, DayPlan, DayRecord, PipelineConfig};
     pub use crate::decentralized::{run_decentralized, DecentralizedOutcome};
+    pub use crate::driver::{CrashSchedule, TraceEvent, TraceKind};
     pub use crate::durable::{Journal, JournalConfig, RecoveredState};
     pub use crate::household::{Backoff, HouseholdAgent, ReportSource};
     pub use crate::message::{Envelope, Message, NodeId, Tick};
@@ -107,10 +118,7 @@ pub mod prelude {
         check as check_invariants, check_parts as check_invariant_parts,
         check_traced as check_invariants_traced, Violation,
     };
-    pub use crate::runtime::{CrashSchedule, Runtime, TraceEvent, TraceKind};
+    pub use crate::runtime::Runtime;
     pub use crate::serve_runtime::{ServeCheckpoint, ServeProducer, ServeRuntime};
-    pub use crate::threaded::{
-        run_threaded_days, run_threaded_days_pipelined, run_threaded_days_traced, ThreadedDay,
-        ThreadedFault, ThreadedHousehold,
-    };
+    pub use crate::threaded::{run_threaded_days, ThreadedFault, ThreadedHousehold};
 }

@@ -1,6 +1,6 @@
 //! Protocol invariant oracle.
 //!
-//! Replays a [`Runtime`] trace and the center's
+//! Replays a runtime's protocol trace and the center's
 //! settled records against the mechanism's safety invariants. The oracle
 //! is fault-model-agnostic: every invariant must hold under *any*
 //! schedule of drops, duplicates, reorderings, partitions, outages, and
@@ -44,7 +44,7 @@ use enki_telemetry::Recorder;
 
 use crate::center::DayRecord;
 use crate::message::{Message, NodeId};
-use crate::runtime::{Runtime, TraceEvent, TraceKind};
+use crate::driver::{Driver, TraceEvent, TraceKind, Transport};
 
 /// Slack for floating-point budget comparisons.
 const BUDGET_EPS: f64 = 1e-9;
@@ -162,13 +162,10 @@ impl std::fmt::Display for Violation {
     }
 }
 
-/// Checks every protocol invariant against a finished runtime.
-///
-/// Requires the runtime to have been built with
-/// [`with_trace`](crate::runtime::Runtime::with_trace); without a trace
-/// only the record-level invariants (1 and 4) are observable.
+/// Checks every protocol invariant against a finished runtime, over
+/// any transport.
 #[must_use]
-pub fn check(runtime: &Runtime) -> Vec<Violation> {
+pub fn check<T: Transport>(runtime: &Driver<T>) -> Vec<Violation> {
     check_traced(runtime, None)
 }
 
@@ -176,7 +173,10 @@ pub fn check(runtime: &Runtime) -> Vec<Violation> {
 /// `oracle.checks` counter and one `oracle.violation.{kind}` counter per
 /// violation found into the given telemetry recorder.
 #[must_use]
-pub fn check_traced(runtime: &Runtime, recorder: Option<&Recorder>) -> Vec<Violation> {
+pub fn check_traced<T: Transport>(
+    runtime: &Driver<T>,
+    recorder: Option<&Recorder>,
+) -> Vec<Violation> {
     let mut span = recorder.map(|r| r.span("oracle.check"));
     let mut violations = Vec::new();
     check_records(
@@ -218,10 +218,8 @@ pub fn check_traced(runtime: &Runtime, recorder: Option<&Recorder>) -> Vec<Viola
 }
 
 /// Checks the invariants directly on records and a trace, without a
-/// [`Runtime`]. For harnesses that drive a
-/// [`CenterAgent`](crate::center::CenterAgent) through a custom loop
-/// (e.g. the serve-layer ingestion runtime) but still owe the same
-/// proof obligations as the lockstep runtime.
+/// [`Driver`]: for harnesses that keep only a runtime's outputs but
+/// still owe the same proof obligations.
 #[must_use]
 pub fn check_parts(
     records: &[DayRecord],
@@ -375,6 +373,7 @@ mod tests {
     use crate::center::{CenterAgent, DayPlan};
     use crate::household::{HouseholdAgent, ReportSource};
     use crate::network::{NetworkConfig, SimNetwork};
+    use crate::runtime::Runtime;
     use enki_core::config::EnkiConfig;
     use enki_core::mechanism::Enki;
     use enki_sim::behavior::ReportStrategy;
@@ -408,16 +407,16 @@ mod tests {
 
     #[test]
     fn clean_run_has_no_violations() {
-        let mut rt = build(6, NetworkConfig::default(), 21).with_trace();
-        rt.run_days(3, 100);
+        let mut rt = build(6, NetworkConfig::default(), 21);
+        rt.run_days(3);
         let violations = check(&rt);
         assert!(violations.is_empty(), "violations: {violations:?}");
     }
 
     #[test]
     fn lossy_run_has_no_violations() {
-        let mut rt = build(8, NetworkConfig::lossy(0.35), 22).with_trace();
-        rt.run_days(3, 100);
+        let mut rt = build(8, NetworkConfig::lossy(0.35), 22);
+        rt.run_days(3);
         let violations = check(&rt);
         assert!(violations.is_empty(), "violations: {violations:?}");
     }
@@ -425,7 +424,6 @@ mod tests {
     #[test]
     fn oracle_flags_a_synthetic_duplicate_bill() {
         use crate::message::{Envelope, Message};
-        use crate::runtime::{TraceEvent, TraceKind};
         let bill = |at| TraceEvent {
             at,
             kind: TraceKind::Originated,
@@ -462,7 +460,6 @@ mod tests {
     #[test]
     fn oracle_flags_a_synthetic_unadmitted_bill() {
         use crate::message::{Envelope, Message};
-        use crate::runtime::{TraceEvent, TraceKind};
         let bill = TraceEvent {
             at: 70,
             kind: TraceKind::Originated,
@@ -499,7 +496,7 @@ mod tests {
     #[test]
     fn oracle_flags_a_corrupt_settlement() {
         let mut rt = build(3, NetworkConfig::default(), 24);
-        rt.run_days(1, 100);
+        rt.run_days(1);
         let mut records = rt.records().to_vec();
         let st = records[0].settlement.as_mut().unwrap();
         st.entries[0].payment = f64::NAN;
@@ -521,7 +518,7 @@ mod tests {
     #[test]
     fn oracle_flags_a_clamped_non_participant() {
         let mut rt = build(2, NetworkConfig::default(), 25);
-        rt.run_days(1, 100);
+        rt.run_days(1);
         let mut records = rt.records().to_vec();
         // Claim a clamp decision for a household that never participated.
         records[0].clamped.push(HouseholdId::new(99));
@@ -540,7 +537,6 @@ mod tests {
     #[test]
     fn oracle_flags_a_synthetic_ungrounded_allocation() {
         use crate::message::{Envelope, Message};
-        use crate::runtime::{TraceEvent, TraceKind};
         use enki_core::time::Interval;
         let event = TraceEvent {
             at: 30,
@@ -569,7 +565,7 @@ mod tests {
     #[test]
     fn oracle_flags_synthetic_disordered_records() {
         let mut rt = build(2, NetworkConfig::default(), 23);
-        rt.run_days(2, 100);
+        rt.run_days(2);
         let mut records = rt.records().to_vec();
         records.swap(0, 1);
         let mut violations = Vec::new();

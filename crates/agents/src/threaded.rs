@@ -1,593 +1,401 @@
-//! A multithreaded deployment skeleton: one OS thread per household ECC,
-//! reliable crossbeam channels as the transport.
+//! The threaded deployment: each [`HouseholdAgent`] on its own OS
+//! thread, the [`CenterAgent`] on the caller's, on the one [`Driver`].
 //!
-//! The tick-driven [`Runtime`](crate::runtime::Runtime) is the tool for
-//! studying protocol behaviour under loss and latency; this module shows
-//! the same day protocol running concurrently the way a real deployment
-//! would — agents block on their sockets and react to messages. Reports
-//! are sorted by household id before allocation and the center's RNG is
-//! seeded, so the settled outcome is independent of thread scheduling.
+//! The transport is the simulated LAN ([`Lan`]) over a reliable
+//! [`NetworkConfig::default()`] link; only the agents' calls cross to
+//! the threads. The driver runs in lockstep: each tick every household
+//! thread gets the envelopes due to it and then its tick, and outboxes
+//! merge in delivery and roster order. Nothing depends on thread
+//! scheduling, so a threaded run settles the same records and bills as
+//! a [`Runtime`](crate::runtime::Runtime) over the same agents and seed.
 //!
-//! **Degradation.** A household that stops answering (see
-//! [`ThreadedFault`]) does not abort the run: the center waits out the
-//! phase timeout, excludes silent households from the day (missing
-//! report) or settles them as cooperative (missing reading), and settles
-//! everyone else — mirroring the tick-driven center's behaviour under
-//! message loss. Only a day in which *no* household reports fails, with
-//! [`enki_core::Error::Timeout`] naming a silent household and the
-//! phase.
+//! A thread that disconnects ([`ThreadedFault`]) or misses `timeout` on
+//! any call is dead for the rest of the run, like a household the
+//! network can no longer reach.
 
-use std::collections::BTreeMap;
 use std::thread;
 use std::time::Duration;
 
-use crossbeam::channel::{unbounded, Receiver, RecvTimeoutError, Sender};
-use enki_core::household::{HouseholdId, Report};
+use crossbeam::channel::{unbounded, Receiver, Sender};
 use enki_telemetry::Telemetry;
-use enki_core::mechanism::{Enki, Settlement};
-use enki_core::time::Interval;
-use enki_core::validation::{RawPreference, RawReport};
-use enki_sim::behavior::{consume, ReportStrategy};
-use enki_sim::neighborhood::TruthSource;
-use enki_sim::profile::UsageProfile;
-#[expect(
-    clippy::disallowed_types,
-    reason = "threaded.rs is the deployment entry point that runs households on OS threads"
-)]
-use parking_lot::Mutex;
-use rand::rngs::StdRng;
-use rand::{RngExt, SeedableRng};
 
-use crate::center::PipelineConfig;
-use crate::message::Message;
+use crate::center::{CenterAgent, DayRecord};
+use crate::driver::Driver;
+use crate::household::HouseholdAgent;
+use crate::message::{Envelope, Message, NodeId, Tick};
+use crate::network::{NetworkConfig, SimNetwork};
+use crate::runtime::{Households, Lan};
 
 /// An injected failure mode for one threaded household.
 #[derive(Debug, Clone, Copy, PartialEq, Eq, Default)]
 pub enum ThreadedFault {
-    /// Healthy: answers every phase.
+    /// Healthy: answers every call.
     #[default]
     None,
     /// Down for the whole run: answers nothing, as if the ECC process
     /// never started.
     Silent,
-    /// Crashes after submitting its report: never consumes, never sends
-    /// a meter reading, never records a bill.
+    /// Crashes right after its first report leaves: never consumes,
+    /// never sends a meter reading, never records a bill.
     CrashAfterReport,
 }
 
-/// Specification of one threaded household.
+/// One threaded household: its agent and its injected fault.
 #[derive(Debug, Clone, PartialEq)]
 pub struct ThreadedHousehold {
-    /// Household id.
-    pub id: HouseholdId,
-    /// Usage profile.
-    pub profile: UsageProfile,
-    /// Which interval is the truth.
-    pub truth_source: TruthSource,
-    /// Reporting behaviour.
-    pub strategy: ReportStrategy,
+    /// The agent the thread runs.
+    pub agent: HouseholdAgent,
     /// Injected failure mode.
     pub fault: ThreadedFault,
 }
 
-/// The outcome of a threaded day: the settlement plus each household's
-/// received bill and any households the center had to work around.
-#[derive(Debug, Clone, PartialEq)]
-pub struct ThreadedDay {
-    /// Day number.
-    pub day: u64,
-    /// The center's settlement.
-    pub settlement: Settlement,
-    /// `(household, amount)` bills as received by the household threads.
-    pub bills: Vec<(HouseholdId, f64)>,
-    /// Households whose reports never arrived; excluded from the day.
-    pub missing_reports: Vec<HouseholdId>,
-    /// Participants whose meter readings never arrived; settled as
-    /// cooperative.
-    pub missing_readings: Vec<HouseholdId>,
-    /// Households whose reports admission control quarantined; excluded
-    /// from the day (the threaded skeleton keeps no standing profiles).
-    pub quarantined: Vec<HouseholdId>,
+/// An agent call crossing to a household thread.
+#[derive(Debug, Clone, Copy)]
+enum Call {
+    Seed(u64),
+    Deliver(Tick, Envelope),
+    Tick(Tick),
 }
 
-/// Runs `days` protocol days with one thread per household.
-///
-/// Each phase waits at most `timeout` after the last arrival. Households
-/// that miss the report phase are excluded from the day; participants
-/// that miss the reading phase are settled as cooperative.
-///
-/// # Errors
-///
-/// Returns [`enki_core::Error::EmptyNeighborhood`] for an empty roster
-/// and propagates mechanism errors. A day in which no household reports
-/// at all fails with [`enki_core::Error::Timeout`] naming a silent
-/// household and the `"report"` phase — with reliable channels total
-/// silence means the deployment is dead, not degraded.
-#[must_use = "dropping the outcome discards every simulated day and any deployment fault"]
-pub fn run_threaded_days(
-    enki: Enki,
-    households: Vec<ThreadedHousehold>,
-    days: u64,
-    seed: u64,
+/// The driver's end of one household thread; `calls` is `None` once it
+/// is dead.
+#[derive(Debug)]
+struct Worker {
+    node: NodeId,
+    calls: Option<Sender<Call>>,
+    replies: Receiver<Vec<Envelope>>,
     timeout: Duration,
-) -> enki_core::Result<Vec<ThreadedDay>> {
-    run_threaded_days_traced(enki, households, days, seed, timeout, None)
 }
 
-/// Like [`run_threaded_days`], but records telemetry: each household
-/// thread gets its own recorder and opens a `threaded.household` span
-/// (with nested `threaded.report` / `threaded.consume` spans per phase),
-/// while the center thread wraps each day in a `threaded.day` span and
-/// counts reports, readings, and bills. Per-thread buffers flush into
-/// the shared sink when the threads exit, so this is safe to call from
-/// any number of concurrent deployments.
+impl Worker {
+    /// Sends a call; a disconnected thread is dead.
+    fn call(&mut self, call: Call) {
+        if self.calls.as_ref().is_some_and(|tx| tx.send(call).is_err()) {
+            self.calls = None;
+        }
+    }
+
+    /// Collects the thread's outbox for its last call; `false`, with the
+    /// thread dead, when it disconnected or missed the timeout.
+    fn reply(&mut self, outbox: &mut Vec<Envelope>) -> bool {
+        if self.calls.is_none() {
+            return false;
+        }
+        match self.replies.recv_timeout(self.timeout) {
+            Ok(sent) => {
+                outbox.extend(sent);
+                true
+            }
+            Err(_) => {
+                self.calls = None;
+                false
+            }
+        }
+    }
+}
+
+/// Sends `call` to every thread at once, then merges their outboxes in
+/// roster order.
+fn broadcast(workers: &mut [Worker], call: Call, outbox: &mut Vec<Envelope>) {
+    for worker in workers.iter_mut() {
+        worker.call(call);
+    }
+    for worker in workers {
+        worker.reply(outbox);
+    }
+}
+
+impl Households for Vec<Worker> {
+    fn deliver(&mut self, now: Tick, envelope: Envelope, outbox: &mut Vec<Envelope>) -> bool {
+        let Some(worker) = self.iter_mut().find(|w| w.node == envelope.to) else {
+            return false;
+        };
+        worker.call(Call::Deliver(now, envelope));
+        worker.reply(outbox)
+    }
+
+    fn tick(&mut self, now: Tick, outbox: &mut Vec<Envelope>) {
+        broadcast(self, Call::Tick(now), outbox);
+    }
+
+    fn set_trace_seed(&mut self, seed: u64) {
+        broadcast(self, Call::Seed(seed), &mut Vec::new());
+    }
+}
+
+/// A household thread's loop: answer every call with the agent's
+/// outbox until the driver hangs up or the injected fault strikes, then
+/// hand the agent back.
+fn serve_household(
+    mut agent: HouseholdAgent,
+    fault: ThreadedFault,
+    calls: &Receiver<Call>,
+    replies: &Sender<Vec<Envelope>>,
+) -> HouseholdAgent {
+    if fault == ThreadedFault::Silent {
+        return agent; // the ECC process never came up
+    }
+    while let Ok(call) = calls.recv() {
+        let mut outbox = Vec::new();
+        match call {
+            Call::Seed(seed) => agent.set_trace_seed(seed),
+            Call::Deliver(now, envelope) => {
+                agent.on_message(now, envelope.from, envelope.message, &mut outbox);
+            }
+            Call::Tick(now) => agent.on_tick(now, &mut outbox),
+        }
+        let reported = outbox
+            .iter()
+            .any(|e| matches!(e.message, Message::SubmitReport { .. }));
+        if replies.send(outbox).is_err()
+            || (reported && fault == ThreadedFault::CrashAfterReport)
+        {
+            break; // hung up, or died between reporting and consuming
+        }
+    }
+    agent
+}
+
+/// Runs `days` protocol days of `center` (refining through
+/// [`CenterAgent::with_pipeline`] if set) with one OS thread per
+/// household, optionally traced into `telemetry`. A household thread
+/// that misses `timeout` on any call is dead for the rest of the run.
+///
+/// Returns the center's records and the household agents as their
+/// threads left them, in the order given; each holds its bills by day.
 ///
 /// # Errors
 ///
-/// Same contract as [`run_threaded_days`].
-#[must_use = "dropping the outcome discards every simulated day and any deployment fault"]
-pub fn run_threaded_days_traced(
-    enki: Enki,
-    households: Vec<ThreadedHousehold>,
-    days: u64,
-    seed: u64,
-    timeout: Duration,
-    telemetry: Option<&Telemetry>,
-) -> enki_core::Result<Vec<ThreadedDay>> {
-    run_threaded_days_pipelined(enki, households, days, seed, timeout, telemetry, None)
-}
-
-/// Like [`run_threaded_days_traced`], but refines each day's greedy
-/// allocation through the anytime solver pipeline (see
-/// [`PipelineConfig`]).
-///
-/// **Thread-budget split.** The deployment already occupies one OS thread
-/// per household plus the center's, so the solver cannot assume it owns
-/// the machine: the configured budget is clamped to the spare hardware
-/// parallelism via [`PipelineConfig::split_for`] (never below the
-/// two-thread racing portfolio). Because the parallel solver is
-/// bit-identical at every thread count, the split changes scheduling
-/// pressure only — the settled outcome is the same on a laptop and a
-/// 64-core server.
-///
-/// # Errors
-///
-/// Same contract as [`run_threaded_days`]; a pipeline failure degrades to
-/// the greedy allocation rather than failing the day.
-#[must_use = "dropping the outcome discards every simulated day and any deployment fault"]
+/// Returns [`enki_core::Error::EmptyNeighborhood`] for an empty roster.
+#[must_use = "dropping the outcome discards every simulated day"]
 #[expect(
     clippy::disallowed_methods,
-    clippy::disallowed_types,
     reason = "threaded.rs is the deployment entry point that runs households on OS threads"
 )]
-pub fn run_threaded_days_pipelined(
-    enki: Enki,
+pub fn run_threaded_days(
+    center: CenterAgent,
     households: Vec<ThreadedHousehold>,
     days: u64,
-    seed: u64,
     timeout: Duration,
     telemetry: Option<&Telemetry>,
-    pipeline: Option<PipelineConfig>,
-) -> enki_core::Result<Vec<ThreadedDay>> {
+) -> enki_core::Result<(Vec<DayRecord>, Vec<HouseholdAgent>)> {
     if households.is_empty() {
         return Err(enki_core::Error::EmptyNeighborhood);
     }
-    // One thread per household plus the center thread are already spoken
-    // for; the solver races on whatever the machine has left.
-    let pipeline = pipeline.map(|cfg| cfg.split_for(households.len() + 1));
-
-    // Transport: one inbox per household, one shared inbox for the center.
-    let (to_center, center_inbox) = unbounded::<(HouseholdId, Message)>();
-    let mut to_household: Vec<Sender<Message>> = Vec::new();
-    let mut household_inboxes: Vec<Receiver<Message>> = Vec::new();
-    for _ in &households {
-        let (tx, rx) = unbounded::<Message>();
-        to_household.push(tx);
-        household_inboxes.push(rx);
-    }
-
-    let bills: Mutex<Vec<(HouseholdId, f64)>> = Mutex::new(Vec::new());
-    let result: Mutex<enki_core::Result<Vec<ThreadedDay>>> = Mutex::new(Ok(Vec::new()));
-
-    thread::scope(|scope| {
-        // Household threads: react to whatever the center sends.
-        for (spec, inbox) in households.iter().zip(household_inboxes) {
-            let to_center = to_center.clone();
-            let bills = &bills;
-            // Each thread owns its recorder; buffers flush to the shared
-            // sink when the recorder drops at thread exit.
-            let recorder = telemetry.map(Telemetry::recorder);
-            scope.spawn(move || {
-                if spec.fault == ThreadedFault::Silent {
-                    return; // the ECC process never came up
-                }
-                let thread_span = recorder.as_ref().map(|r| {
-                    let mut s = r.span("threaded.household");
-                    s.record("household", u64::from(spec.id.index()));
-                    s
-                });
-                let truth = match spec.truth_source {
-                    TruthSource::Wide => spec.profile.wide(),
-                    TruthSource::Narrow => spec.profile.narrow(),
-                };
-                while let Ok(message) = inbox.recv() {
-                    match message {
-                        Message::DayStart { day, .. } => {
-                            let phase = recorder.as_ref().map(|r| {
-                                let mut s = r.span("threaded.report");
-                                s.record("day", day);
-                                s
-                            });
-                            let _ = to_center.send((
-                                spec.id,
-                                Message::SubmitReport {
-                                    day,
-                                    preference: spec.strategy.report(&spec.profile).into(),
-                                },
-                            ));
-                            drop(phase);
-                            if spec.fault == ThreadedFault::CrashAfterReport {
-                                return; // died between reporting and consuming
-                            }
-                        }
-                        Message::Allocation { day, window } => {
-                            let phase = recorder.as_ref().map(|r| {
-                                let mut s = r.span("threaded.consume");
-                                s.record("day", day);
-                                s
-                            });
-                            let realized: Interval = consume(&truth, window);
-                            let _ = to_center.send((
-                                spec.id,
-                                Message::MeterReading {
-                                    day,
-                                    window: realized,
-                                },
-                            ));
-                            drop(phase);
-                        }
-                        Message::Bill { amount, .. } => {
-                            if let Some(r) = recorder.as_ref() {
-                                r.incr("threaded.bills.received", 1);
-                            }
-                            bills.lock().push((spec.id, amount));
-                        }
-                        _ => {}
-                    }
-                }
-                drop(thread_span);
+    Ok(thread::scope(|scope| {
+        let mut workers = Vec::new();
+        let mut handles = Vec::new();
+        for household in households {
+            let (to_thread, calls) = unbounded();
+            let (replies, from_thread) = unbounded();
+            workers.push(Worker {
+                node: household.agent.node_id(),
+                calls: Some(to_thread),
+                replies: from_thread,
+                timeout,
             });
+            handles.push(scope.spawn(move || {
+                serve_household(household.agent, household.fault, &calls, &replies)
+            }));
         }
-        drop(to_center); // the center holds no sender to itself
-
-        // Center: drives the day protocol synchronously. The closure
-        // exists so `?` can be used without poisoning the thread scope.
-        let center_recorder = telemetry.map(Telemetry::recorder);
-        let run_center = || -> enki_core::Result<Vec<ThreadedDay>> {
-            let mut rng = StdRng::seed_from_u64(seed);
-            let mut outcome = Vec::new();
-            let roster: Vec<HouseholdId> = households.iter().map(|h| h.id).collect();
-            for day in 0..days {
-                let mut day_span = center_recorder.as_ref().map(|r| {
-                    let mut s = r.span("threaded.day");
-                    s.record("day", day);
-                    s
-                });
-                for tx in &to_household {
-                    let _ = tx.send(Message::DayStart {
-                        day,
-                        report_deadline: 0,
-                        meter_deadline: 0,
-                    });
-                }
-                // Collect reports until everyone answered or the phase
-                // timeout fires; a BTreeMap keyed by household id makes
-                // the result deterministic regardless of arrival order.
-                let mut report_map: BTreeMap<HouseholdId, RawPreference> = BTreeMap::new();
-                while report_map.len() < roster.len() {
-                    match center_inbox.recv_timeout(timeout) {
-                        Ok((household, Message::SubmitReport { day: d, preference }))
-                            if d == day && roster.contains(&household) =>
-                        {
-                            report_map.insert(household, preference);
-                        }
-                        Ok(_) => {}
-                        Err(RecvTimeoutError::Timeout | RecvTimeoutError::Disconnected) => {
-                            break; // degrade: proceed without the silent ones
-                        }
-                    }
-                }
-                let missing_reports: Vec<HouseholdId> = roster
-                    .iter()
-                    .copied()
-                    .filter(|h| !report_map.contains_key(h))
-                    .collect();
-                if report_map.is_empty() {
-                    return Err(enki_core::Error::Timeout {
-                        household: missing_reports[0],
-                        phase: "report",
-                    });
-                }
-                // Off the wire, reports are untrusted floats: classify
-                // the batch before any of it can reach the mechanism.
-                let raw: Vec<RawReport> = report_map
-                    .iter()
-                    .map(|(&h, &p)| RawReport::new(h, p))
-                    .collect();
-                let admission = enki.admit(&raw);
-                let quarantined: Vec<HouseholdId> =
-                    admission.quarantined().map(|e| e.household).collect();
-                let reports: Vec<Report> = admission.admitted();
-                if reports.is_empty() {
-                    return Err(enki_core::Error::Timeout {
-                        household: quarantined[0],
-                        phase: "report",
-                    });
-                }
-                let allocation = enki.allocate(&reports, &mut rng)?;
-                // Refinement draws its seed from the same deterministic
-                // stream as the greedy allocation, so the settled outcome
-                // is reproducible across runs and thread schedules.
-                let allocation = match pipeline {
-                    Some(cfg) => cfg.refine(
-                        &enki,
-                        &reports,
-                        allocation,
-                        rng.random(),
-                        center_recorder.as_ref(),
-                    ),
-                    None => allocation,
-                };
-                for (report, assignment) in reports.iter().zip(&allocation.assignments) {
-                    let Some(idx) = households.iter().position(|h| h.id == report.household)
-                    else {
-                        continue;
-                    };
-                    let _ = to_household[idx].send(Message::Allocation {
-                        day,
-                        window: assignment.window,
-                    });
-                }
-                // Collect readings from the participants, degrading the
-                // same way on timeout.
-                let mut readings: BTreeMap<HouseholdId, Interval> = BTreeMap::new();
-                while readings.len() < reports.len() {
-                    match center_inbox.recv_timeout(timeout) {
-                        Ok((household, Message::MeterReading { day: d, window }))
-                            if d == day
-                                && reports.iter().any(|r| r.household == household) =>
-                        {
-                            readings.insert(household, window);
-                        }
-                        Ok(_) => {}
-                        Err(RecvTimeoutError::Timeout | RecvTimeoutError::Disconnected) => {
-                            break; // degrade: settle the silent as cooperative
-                        }
-                    }
-                }
-                let mut missing_readings: Vec<HouseholdId> = Vec::new();
-                let consumption: Vec<Interval> = reports
-                    .iter()
-                    .zip(&allocation.assignments)
-                    .map(|(r, a)| match readings.get(&r.household) {
-                        Some(&w) => w,
-                        None => {
-                            missing_readings.push(r.household);
-                            a.window // smart-meter fallback: cooperative
-                        }
-                    })
-                    .collect();
-                let settlement = enki.settle(&reports, &allocation, &consumption)?;
-                for entry in &settlement.entries {
-                    let Some(idx) = households.iter().position(|h| h.id == entry.household)
-                    else {
-                        continue;
-                    };
-                    let _ = to_household[idx].send(Message::Bill {
-                        day,
-                        amount: entry.payment,
-                    });
-                }
-                if let Some(r) = center_recorder.as_ref() {
-                    r.incr("threaded.reports.received", report_map.len() as u64);
-                    r.incr("threaded.readings.received", readings.len() as u64);
-                    r.incr("threaded.bills.sent", settlement.entries.len() as u64);
-                }
-                if let Some(s) = day_span.as_mut() {
-                    s.record("participants", reports.len());
-                    s.record("missing_reports", missing_reports.len());
-                    s.record("missing_readings", missing_readings.len());
-                    s.record("quarantined", quarantined.len());
-                }
-                outcome.push(ThreadedDay {
-                    day,
-                    settlement,
-                    bills: Vec::new(),
-                    missing_reports,
-                    missing_readings,
-                    quarantined,
-                });
-            }
-            Ok(outcome)
+        let lan = Lan {
+            network: SimNetwork::new(NetworkConfig::default(), 0),
+            households: workers,
         };
-        let outcome = run_center();
-        *result.lock() = outcome;
-        drop(to_household); // hang up: household threads exit their loops
-    });
-
-    let mut days_out = result.into_inner()?;
-    // Attach the bills each household thread recorded.
-    let mut bills = bills.into_inner();
-    bills.sort_by_key(|&(h, _)| h);
-    for day in &mut days_out {
-        day.bills = bills.clone();
-    }
-    Ok(days_out)
+        let mut driver = Driver::assemble(center, lan);
+        if let Some(telemetry) = telemetry {
+            driver = driver.with_telemetry(telemetry);
+        }
+        driver.run_days(days);
+        let records = driver.records().to_vec();
+        drop(driver); // hang up: household threads leave their loops
+        let agents = handles
+            .into_iter()
+            .map(|h| h.join().unwrap_or_else(|panic| std::panic::resume_unwind(panic)))
+            .collect();
+        (records, agents)
+    }))
 }
 
 #[cfg(test)]
 mod tests {
     use super::*;
+    use crate::center::{DayPlan, PipelineConfig};
+    use crate::household::ReportSource;
+    use crate::runtime::Runtime;
     use enki_core::config::EnkiConfig;
-    use enki_core::household::Preference;
-    use enki_sim::profile::ProfileConfig;
+    use enki_core::household::{HouseholdId, Preference, Report};
+    use enki_core::mechanism::{Enki, Settlement};
+    use enki_core::time::Interval;
+    use enki_sim::behavior::ReportStrategy;
+    use enki_sim::neighborhood::TruthSource;
+    use enki_sim::profile::{ProfileConfig, UsageProfile};
     use rand::rngs::StdRng;
     use rand::SeedableRng;
 
-    fn specs(n: u32, seed: u64) -> Vec<ThreadedHousehold> {
+    const TIMEOUT: Duration = Duration::from_secs(5);
+
+    fn profiles(n: u32, seed: u64) -> Vec<UsageProfile> {
         let mut rng = StdRng::seed_from_u64(seed);
         let config = ProfileConfig::default();
         (0..n)
-            .map(|i| ThreadedHousehold {
-                id: HouseholdId::new(i),
-                profile: UsageProfile::generate(&mut rng, &config),
-                truth_source: TruthSource::Wide,
-                strategy: ReportStrategy::TruthfulWide,
+            .map(|_| UsageProfile::generate(&mut rng, &config))
+            .collect()
+    }
+
+    fn households(n: u32, seed: u64) -> Vec<ThreadedHousehold> {
+        (0..n)
+            .zip(profiles(n, seed))
+            .map(|(i, profile)| ThreadedHousehold {
+                agent: HouseholdAgent::new(
+                    HouseholdId::new(i),
+                    profile,
+                    TruthSource::Wide,
+                    ReportStrategy::TruthfulWide,
+                    ReportSource::Strategy,
+                ),
                 fault: ThreadedFault::None,
+            })
+            .collect()
+    }
+
+    fn center(n: u32, seed: u64) -> CenterAgent {
+        CenterAgent::new(
+            Enki::new(EnkiConfig::default()),
+            (0..n).map(HouseholdId::new).collect(),
+            DayPlan::default(),
+            seed,
+        )
+    }
+
+    fn run(
+        households: Vec<ThreadedHousehold>,
+        days: u64,
+        seed: u64,
+    ) -> (Vec<DayRecord>, Vec<HouseholdAgent>) {
+        let n = u32::try_from(households.len()).unwrap();
+        run_threaded_days(center(n, seed), households, days, TIMEOUT, None).unwrap()
+    }
+
+    fn settlement(record: &DayRecord) -> &Settlement {
+        record.settlement.as_ref().expect("the day settled")
+    }
+
+    /// The `(household, amount)` bills the agents recorded for `day`.
+    fn bills(agents: &[HouseholdAgent], day: u64) -> Vec<(HouseholdId, f64)> {
+        agents
+            .iter()
+            .flat_map(|a| {
+                a.bills()
+                    .iter()
+                    .filter(move |&&(d, _)| d == day)
+                    .map(move |&(_, amount)| (a.id(), amount))
             })
             .collect()
     }
 
     #[test]
     fn threaded_day_settles_and_balances() {
-        let days = run_threaded_days(
-            Enki::new(EnkiConfig::default()),
-            specs(6, 1),
-            1,
-            1,
-            Duration::from_secs(5),
-        )
-        .unwrap();
-        assert_eq!(days.len(), 1);
-        let st = &days[0].settlement;
+        let (records, _) = run(households(6, 1), 1, 1);
+        assert_eq!(records.len(), 1);
+        let st = settlement(&records[0]);
         assert_eq!(st.entries.len(), 6);
         assert!(st.center_utility >= 0.0);
         assert!(st.entries.iter().all(|e| !e.defected));
-        assert!(days[0].missing_reports.is_empty());
-        assert!(days[0].missing_readings.is_empty());
+        assert!(records[0].missing_reports.is_empty());
+        assert!(records[0].missing_readings.is_empty());
     }
 
     #[test]
     fn threaded_outcome_matches_direct_mechanism() {
         // Same seed, same reports ⇒ the threaded settlement equals a
         // direct (single-threaded) invocation of the mechanism.
-        let households = specs(5, 2);
-        let enki = Enki::new(EnkiConfig::default());
-        let threaded = run_threaded_days(enki, households.clone(), 1, 9, Duration::from_secs(5))
-            .unwrap();
+        let (records, _) = run(households(5, 2), 1, 9);
 
-        let reports: Vec<Report> = households
-            .iter()
-            .map(|h| Report::new(h.id, h.strategy.report(&h.profile)))
+        let enki = Enki::new(EnkiConfig::default());
+        let reports: Vec<Report> = (0..5)
+            .zip(profiles(5, 2))
+            .map(|(i, p)| Report::new(HouseholdId::new(i), ReportStrategy::TruthfulWide.report(&p)))
             .collect();
         let mut rng = StdRng::seed_from_u64(9);
         let outcome = enki.allocate(&reports, &mut rng).unwrap();
-        let consumption: Vec<Interval> =
-            outcome.assignments.iter().map(|a| a.window).collect();
+        let consumption: Vec<Interval> = outcome.assignments.iter().map(|a| a.window).collect();
         let direct = enki.settle(&reports, &outcome, &consumption).unwrap();
-        assert_eq!(threaded[0].settlement, direct);
+        assert_eq!(settlement(&records[0]), &direct);
     }
 
     #[test]
     fn bills_reach_every_household_thread() {
-        let days = run_threaded_days(
-            Enki::new(EnkiConfig::default()),
-            specs(4, 3),
-            2,
-            3,
-            Duration::from_secs(5),
-        )
-        .unwrap();
-        // Two days × four households = eight bills recorded in total.
-        assert_eq!(days.last().unwrap().bills.len(), 8);
+        let (records, agents) = run(households(4, 3), 2, 3);
+        // Each day, every one of the four household threads records the
+        // bill the center settled for it.
+        for record in &records {
+            let sent: Vec<(HouseholdId, f64)> = settlement(record)
+                .entries
+                .iter()
+                .map(|e| (e.household, e.payment))
+                .collect();
+            assert_eq!(bills(&agents, record.day), sent, "day {}", record.day);
+            assert_eq!(sent.len(), 4);
+        }
     }
 
     #[test]
     fn narrow_truth_households_can_defect_threaded() {
-        let mut specs = specs(4, 4);
-        for (i, s) in specs.iter_mut().enumerate() {
-            s.truth_source = TruthSource::Narrow;
-            if i == 0 {
-                // Household 0 misreports a window disjoint from its truth.
-                let t = s.profile.narrow();
-                let begin = if t.begin() >= 4 { t.begin() - 4 } else { t.end() };
-                s.strategy = ReportStrategy::Fixed(
-                    Preference::new(
-                        begin.min(24 - t.duration()),
-                        (begin.min(24 - t.duration()) + t.duration()).min(24),
-                        t.duration(),
+        let specs = (0..4)
+            .zip(profiles(4, 4))
+            .map(|(i, profile)| {
+                let t = profile.narrow();
+                let strategy = if i == 0 {
+                    // Household 0 misreports a window disjoint from its truth.
+                    let begin = if t.begin() >= 4 { t.begin() - 4 } else { t.end() };
+                    let begin = begin.min(24 - t.duration());
+                    ReportStrategy::Fixed(
+                        Preference::new(begin, (begin + t.duration()).min(24), t.duration())
+                            .unwrap(),
                     )
-                    .unwrap(),
-                );
-            } else {
-                s.strategy = ReportStrategy::TruthfulNarrow;
-            }
-        }
-        let days = run_threaded_days(
-            Enki::new(EnkiConfig::default()),
-            specs,
-            1,
-            4,
-            Duration::from_secs(5),
-        )
-        .unwrap();
-        let st = &days[0].settlement;
+                } else {
+                    ReportStrategy::TruthfulNarrow
+                };
+                ThreadedHousehold {
+                    agent: HouseholdAgent::new(
+                        HouseholdId::new(i),
+                        profile,
+                        TruthSource::Narrow,
+                        strategy,
+                        ReportSource::Strategy,
+                    ),
+                    fault: ThreadedFault::None,
+                }
+            })
+            .collect();
+        let (records, _) = run(specs, 1, 4);
+        let st = settlement(&records[0]);
         assert!(st.center_utility >= -1e-9, "budget balance survives defection");
     }
 
     #[test]
-    fn traced_run_nests_phase_spans_under_each_household_thread() {
-        use enki_telemetry::{to_jsonl, validate_jsonl, FieldValue, Telemetry};
+    fn traced_threaded_run_exports_the_driver_telemetry() {
+        use enki_telemetry::{metric_names, to_jsonl, validate_jsonl, FieldValue};
         let telemetry = Telemetry::new("threaded-test", 11);
-        let days = run_threaded_days_traced(
-            Enki::new(EnkiConfig::default()),
-            specs(4, 11),
-            2,
-            11,
-            Duration::from_secs(5),
-            Some(&telemetry),
-        )
-        .unwrap();
-        assert_eq!(days.len(), 2);
+        let (records, _) =
+            run_threaded_days(center(4, 11), households(4, 11), 2, TIMEOUT, Some(&telemetry))
+                .unwrap();
+        assert_eq!(records.len(), 2);
 
+        // The driver's day spans are roots with the day number recorded.
         let spans = telemetry.spans();
-        let household_ids: Vec<u64> = spans
-            .iter()
-            .filter(|s| s.name == "threaded.household")
-            .map(|s| s.id)
-            .collect();
-        assert_eq!(household_ids.len(), 4, "one root span per household thread");
-
-        // Every per-phase span nests under exactly one household root,
-        // even though four recorders ran concurrently on four threads.
-        let phases: Vec<_> = spans
-            .iter()
-            .filter(|s| s.name == "threaded.report" || s.name == "threaded.consume")
-            .collect();
-        assert_eq!(phases.len(), 4 * 2 * 2, "report + consume, per household, per day");
-        for phase in &phases {
-            let parent = phase.parent.expect("phase spans have a parent");
-            assert!(
-                household_ids.contains(&parent),
-                "{} span {} nests under a household root",
-                phase.name,
-                phase.id
-            );
-            assert!(phase.end_ns >= phase.start_ns);
-        }
-
-        // The center's day spans are roots with the day number recorded.
-        let day_spans: Vec<_> = spans.iter().filter(|s| s.name == "threaded.day").collect();
+        let day_spans: Vec<_> = spans.iter().filter(|s| s.name == "day").collect();
         assert_eq!(day_spans.len(), 2);
         for (i, s) in day_spans.iter().enumerate() {
             assert_eq!(s.parent, None);
             assert_eq!(s.fields[0], ("day".to_string(), FieldValue::U64(i as u64)));
         }
-
-        assert_eq!(telemetry.counter("threaded.reports.received"), Some(8));
-        assert_eq!(telemetry.counter("threaded.bills.sent"), Some(8));
-        assert_eq!(telemetry.counter("threaded.bills.received"), Some(8));
-
+        assert_eq!(telemetry.counter("runtime.ticks"), Some(200));
+        assert_eq!(telemetry.counter("center.bills.sent"), Some(8));
+        for name in telemetry.metrics().keys() {
+            assert!(metric_names::is_registered(name), "unregistered metric `{name}`");
+        }
         validate_jsonl(&to_jsonl(&telemetry)).expect("threaded trace self-validates");
     }
 
@@ -598,40 +406,20 @@ mod tests {
         // settled outcome must not depend on how the OS interleaves any
         // of them, and the refined schedule can only be cheaper than the
         // greedy one it started from.
-        let run = || {
-            run_threaded_days_pipelined(
-                Enki::new(EnkiConfig::default()),
-                specs(6, 12),
-                2,
-                12,
-                Duration::from_secs(5),
-                None,
-                Some(PipelineConfig::default()),
-            )
-            .unwrap()
+        let pipelined = || {
+            let center = center(6, 12).with_pipeline(PipelineConfig::default());
+            run_threaded_days(center, households(6, 12), 2, TIMEOUT, None).unwrap()
         };
-        let a = run();
-        let b = run();
-        assert_eq!(a, b, "pipelined threaded runs must be reproducible");
-        for day in &a {
-            assert_eq!(day.settlement.entries.len(), 6);
-            assert!(day.settlement.center_utility >= -1e-9);
-        }
-
-        // Same deployment without refinement: the greedy planned cost is
-        // never beaten by the refined one (the pipeline only replaces the
-        // greedy windows when strictly cheaper).
-        let greedy = run_threaded_days(
-            Enki::new(EnkiConfig::default()),
-            specs(6, 12),
-            2,
-            12,
-            Duration::from_secs(5),
-        )
-        .unwrap();
+        let (a, agents) = pipelined();
+        let (b, again) = pipelined();
+        assert_eq!((&a, &agents), (&b, &again), "pipelined threaded runs must be reproducible");
+        let (greedy, _) = run(households(6, 12), 2, 12);
         for (refined, plain) in a.iter().zip(&greedy) {
+            let (refined, plain) = (settlement(refined), settlement(plain));
+            assert_eq!(refined.entries.len(), 6);
+            assert!(refined.center_utility >= -1e-9);
             assert!(
-                refined.settlement.total_cost <= plain.settlement.total_cost + 1e-9,
+                refined.total_cost <= plain.total_cost + 1e-9,
                 "refinement must not worsen the realized neighborhood cost"
             );
         }
@@ -639,92 +427,90 @@ mod tests {
 
     #[test]
     fn empty_roster_is_rejected() {
-        assert!(run_threaded_days(
-            Enki::default(),
-            vec![],
-            1,
-            0,
-            Duration::from_millis(10)
-        )
-        .is_err());
+        let result = run_threaded_days(center(0, 0), vec![], 1, TIMEOUT, None);
+        assert!(matches!(result, Err(enki_core::Error::EmptyNeighborhood)));
     }
 
     #[test]
     fn silent_household_is_excluded_not_fatal() {
-        let mut specs = specs(5, 6);
+        let mut specs = households(5, 6);
         specs[2].fault = ThreadedFault::Silent;
-        let days = run_threaded_days(
-            Enki::new(EnkiConfig::default()),
-            specs,
-            2,
-            6,
-            Duration::from_millis(200),
-        )
-        .unwrap();
-        assert_eq!(days.len(), 2);
-        for day in &days {
-            assert_eq!(day.missing_reports, vec![HouseholdId::new(2)]);
-            assert_eq!(day.settlement.entries.len(), 4);
-            assert!(day
-                .settlement
-                .entries
-                .iter()
-                .all(|e| e.household != HouseholdId::new(2)));
-            assert!(day.settlement.center_utility >= -1e-9);
+        let (records, agents) = run(specs, 2, 6);
+        assert_eq!(records.len(), 2);
+        for record in &records {
+            assert_eq!(record.missing_reports, vec![HouseholdId::new(2)]);
+            let st = settlement(record);
+            assert_eq!(st.entries.len(), 4);
+            assert!(st.entries.iter().all(|e| e.household != HouseholdId::new(2)));
+            assert!(st.center_utility >= -1e-9);
+            assert_eq!(bills(&agents, record.day).len(), 4);
         }
         // The silent household never recorded a bill.
-        assert!(days[0].bills.iter().all(|&(h, _)| h != HouseholdId::new(2)));
-        assert_eq!(days.last().unwrap().bills.len(), 8); // 2 days × 4 live
+        assert!(agents[2].bills().is_empty());
     }
 
     #[test]
     fn crash_after_report_settles_as_cooperative() {
-        let mut specs = specs(4, 7);
+        let mut specs = households(4, 7);
         specs[1].fault = ThreadedFault::CrashAfterReport;
-        let days = run_threaded_days(
-            Enki::new(EnkiConfig::default()),
-            specs,
-            1,
-            7,
-            Duration::from_millis(200),
-        )
-        .unwrap();
-        let day = &days[0];
-        assert!(day.missing_reports.is_empty(), "it did report");
-        assert_eq!(day.missing_readings, vec![HouseholdId::new(1)]);
-        let entry = day
-            .settlement
+        let (records, agents) = run(specs, 1, 7);
+        let record = &records[0];
+        assert!(record.missing_reports.is_empty(), "it did report");
+        assert_eq!(record.missing_readings, vec![HouseholdId::new(1)]);
+        let st = settlement(record);
+        let entry = st
             .entries
             .iter()
             .find(|e| e.household == HouseholdId::new(1))
             .unwrap();
         assert!(!entry.defected, "a lost reading is not a defection");
-        assert!(day.settlement.center_utility >= -1e-9);
+        assert!(st.center_utility >= -1e-9);
+        assert!(agents[1].bills().is_empty(), "it died before its bill");
     }
 
     #[test]
-    fn all_silent_fails_with_a_timeout_error() {
-        let mut specs = specs(3, 8);
+    fn all_silent_day_closes_unbilled() {
+        let mut specs = households(3, 8);
         for s in &mut specs {
             s.fault = ThreadedFault::Silent;
         }
-        let err = run_threaded_days(
-            Enki::new(EnkiConfig::default()),
-            specs,
-            1,
-            8,
-            Duration::from_millis(100),
-        )
-        .unwrap_err();
-        assert!(
-            matches!(
-                err,
-                enki_core::Error::Timeout {
-                    phase: "report",
-                    ..
-                }
-            ),
-            "expected a report-phase timeout, got {err:?}"
-        );
+        let (records, agents) = run(specs, 1, 8);
+        assert_eq!(records.len(), 1);
+        assert!(records[0].settlement.is_none());
+        assert_eq!(records[0].missing_reports.len(), 3);
+        assert!(agents.iter().all(|a| a.bills().is_empty()));
+    }
+
+    /// The threaded deployment and the simulated LAN are one protocol:
+    /// over the same link, agents and seed they settle identical records
+    /// and bills, with every household alive and with one silent (absent
+    /// from the simulation's agents).
+    #[test]
+    fn threaded_and_simulated_runs_settle_identical_bills() {
+        for silent in [None, Some(3usize)] {
+            let mut specs = households(6, 13);
+            if let Some(i) = silent {
+                specs[i].fault = ThreadedFault::Silent;
+            }
+            let live: Vec<HouseholdAgent> = specs
+                .iter()
+                .filter(|s| s.fault == ThreadedFault::None)
+                .map(|s| s.agent.clone())
+                .collect();
+            let (records, agents) = run(specs, 3, 13);
+            let network = SimNetwork::new(NetworkConfig::default(), 13);
+            let mut simulated = Runtime::new(network, center(6, 13), live);
+            simulated.run_days(3);
+
+            assert_eq!(records, simulated.records(), "silent {silent:?}: records differ");
+            assert!(records.iter().all(|r| r.settlement.is_some()));
+            for day in 0..3 {
+                assert_eq!(
+                    bills(&agents, day),
+                    bills(simulated.households(), day),
+                    "silent {silent:?}: day {day} bills differ"
+                );
+            }
+        }
     }
 }

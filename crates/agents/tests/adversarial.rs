@@ -27,7 +27,6 @@ use enki_solver::prelude::*;
 use rand::rngs::StdRng;
 use rand::{RngExt, SeedableRng};
 
-const DAY: Tick = 100;
 
 /// Draws one malformed (or occasionally merely weird) raw preference.
 /// The generator is intentionally hostile: non-finite floats, inverted
@@ -76,7 +75,7 @@ fn build(n: u32, adversaries: &[u32], network: NetworkConfig, seed: u64) -> Runt
         DayPlan::default(),
         seed,
     );
-    Runtime::new(SimNetwork::new(network, seed), center, households).with_trace()
+    Runtime::new(SimNetwork::new(network, seed), center, households)
 }
 
 /// The tentpole acceptance criterion: 100 fuzzed malformed-report days
@@ -98,7 +97,7 @@ fn hundred_fuzzed_malformed_days_produce_zero_violations() {
             }
         }
         let mut rt = build(6, &adversaries, NetworkConfig::default(), seed);
-        rt.run_days(days, DAY);
+        rt.run_days(days);
         let violations = check_invariants(&rt);
         assert!(
             violations.is_empty(),
@@ -134,7 +133,7 @@ fn every_adversarial_settlement_is_finite_and_budget_balanced() {
     for run in 0..5u64 {
         let seed = 4000 + run * 13;
         let mut rt = build(6, &[0, 3, 5], NetworkConfig::default(), seed);
-        rt.run_days(4, DAY);
+        rt.run_days(4);
         let config = *rt.center().enki().config();
         for record in rt.records() {
             let Some(st) = &record.settlement else {
@@ -192,8 +191,8 @@ fn standing_profile_keeps_a_compromised_ecc_in_the_game() {
         center,
         households,
     )
-    .with_trace();
-    rt.run_days(1, DAY);
+    ;
+    rt.run_days(1);
     assert!(rt.records()[0].quarantined.is_empty());
 
     // Compromise the ECC mid-run: from day 1 on it ships garbage.
@@ -204,7 +203,7 @@ fn standing_profile_keeps_a_compromised_ecc_in_the_game() {
             f64::INFINITY,
             -1.0,
         )));
-    rt.run_days(2, DAY);
+    rt.run_days(2);
     let violations = check_invariants(&rt);
     assert!(violations.is_empty(), "{violations:?}");
     for record in &rt.records()[1..] {
@@ -222,7 +221,7 @@ fn standing_profile_keeps_a_compromised_ecc_in_the_game() {
 fn garbage_reports_and_lossy_network_compose() {
     for seed in [5001u64, 5002, 5003] {
         let mut rt = build(6, &[1, 4], NetworkConfig::lossy(0.25), seed);
-        rt.run_days(3, DAY);
+        rt.run_days(3);
         let violations = check_invariants(&rt);
         assert!(violations.is_empty(), "seed {seed}: {violations:?}");
         let recorded: Vec<u64> = rt.records().iter().map(|r| r.day).collect();

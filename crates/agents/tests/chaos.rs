@@ -62,8 +62,7 @@ fn build(
         center,
         households,
     )
-    .with_center_crashes(crashes)
-    .with_trace()
+    .with_crashes(crashes)
 }
 
 /// One adversarial schedule: a network configuration, a fault plan, and
@@ -357,7 +356,7 @@ fn every_fault_schedule_preserves_safety_and_liveness() {
                 schedule.crashes.clone(),
                 seed,
             );
-            rt.run_days(days, DAY);
+            rt.run_days(days);
             let violations = check_invariants(&rt);
             assert!(
                 violations.is_empty(),
@@ -411,8 +410,8 @@ fn chaos_telemetry_trace_replays_identically_under_the_virtual_clock() {
         let telemetry = Telemetry::with_virtual_clock("chaos", seed, std::sync::Arc::clone(&clock));
         let mut rt = build(6, schedule.network, schedule.faults, schedule.crashes, seed)
             .with_telemetry(&telemetry)
-            .with_virtual_clock(clock, Duration::from_millis(1));
-        rt.run_days(3, DAY);
+            .with_virtual_clock(clock);
+        rt.run_days(3);
         let violations = check_invariants_traced(&rt, Some(&telemetry.recorder()));
         assert!(violations.is_empty(), "violations: {violations:?}");
         drop(rt); // flush the runtime's and the center's recorders
@@ -443,7 +442,7 @@ fn crash_recovery_is_equivalent_to_no_crash() {
             crashes,
             13,
         );
-        rt.run_days(3, DAY);
+        rt.run_days(3);
         rt.records().to_vec()
     };
     let baseline = run(vec![]);
@@ -464,7 +463,7 @@ fn crash_recovery_is_equivalent_to_no_crash() {
 fn duplication_never_changes_bills() {
     let run = |faults: FaultPlan| {
         let mut rt = build(6, NetworkConfig::default(), faults, vec![], 17);
-        rt.run_days(3, DAY);
+        rt.run_days(3);
         let bills: Vec<(HouseholdId, Vec<(u64, f64)>)> = (0..6)
             .map(|i| {
                 let id = HouseholdId::new(i);
@@ -491,25 +490,33 @@ fn duplication_never_changes_bills() {
 fn threaded_deployment_survives_a_dead_household() {
     let mut rng = StdRng::seed_from_u64(19);
     let config = ProfileConfig::default();
-    let mut specs: Vec<ThreadedHousehold> = (0..5)
+    let households: Vec<ThreadedHousehold> = (0..5)
         .map(|i| ThreadedHousehold {
-            id: HouseholdId::new(i),
-            profile: UsageProfile::generate(&mut rng, &config),
-            truth_source: TruthSource::Wide,
-            strategy: ReportStrategy::TruthfulWide,
-            fault: ThreadedFault::None,
+            agent: HouseholdAgent::new(
+                HouseholdId::new(i),
+                UsageProfile::generate(&mut rng, &config),
+                TruthSource::Wide,
+                ReportStrategy::TruthfulWide,
+                ReportSource::Strategy,
+            ),
+            fault: if i == 3 {
+                ThreadedFault::Silent
+            } else {
+                ThreadedFault::None
+            },
         })
         .collect();
-    specs[3].fault = ThreadedFault::Silent;
-    let days = run_threaded_days(
+    let center = CenterAgent::new(
         Enki::new(EnkiConfig::default()),
-        specs,
-        1,
+        (0..5).map(HouseholdId::new).collect(),
+        DayPlan::default(),
         19,
-        Duration::from_millis(200),
-    )
-    .unwrap();
-    assert_eq!(days[0].missing_reports, vec![HouseholdId::new(3)]);
-    assert_eq!(days[0].settlement.entries.len(), 4);
-    assert!(days[0].settlement.center_utility >= -1e-9);
+    );
+    let (records, _) =
+        run_threaded_days(center, households, 1, Duration::from_secs(5), None).unwrap();
+    let record = &records[0];
+    assert_eq!(record.missing_reports, vec![HouseholdId::new(3)]);
+    let settlement = record.settlement.as_ref().expect("the live households settle");
+    assert_eq!(settlement.entries.len(), 4);
+    assert!(settlement.center_utility >= -1e-9);
 }

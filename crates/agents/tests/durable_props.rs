@@ -251,7 +251,7 @@ fn history_checkpoint() -> CenterCheckpoint {
     for i in 0..50 {
         rt.add_producer(ServeProducer::new(HouseholdId::new(i), preference(i, 0)));
     }
-    rt.run_days(40, DAY);
+    rt.run_days(40);
     assert_eq!(rt.records().len(), 40);
     rt.center().snapshot()
 }

@@ -4,9 +4,9 @@
 //!
 //! The contract under test, end to end:
 //!
-//! * traced runs export **byte-identical** JSONL for a given seed at
-//!   every solver thread count (per-count reproducibility), and settle
-//!   the identical records across thread counts;
+//! * traced runs export **byte-identical** JSONL for a given seed — on
+//!   the simulated LAN at every solver thread count, and on the served
+//!   path — and settle the identical records across thread counts;
 //! * one household report is followable edge-to-bill through derived
 //!   [`TraceContext`](enki_telemetry::TraceContext) ids, with every
 //!   stage witnessed by a recorded span in the serve path;
@@ -17,7 +17,6 @@
 //!   [`metric_names`] registry.
 
 use std::sync::Arc;
-use std::time::Duration;
 
 use enki_agents::prelude::*;
 use enki_core::config::EnkiConfig;
@@ -32,8 +31,6 @@ use enki_telemetry::{metric_names, to_jsonl, validate_jsonl, Telemetry, VirtualC
 use proptest::prelude::*;
 use rand::rngs::StdRng;
 use rand::SeedableRng;
-
-const DAY: Tick = 100;
 
 fn build(n: u32, seed: u64, threads: usize) -> Runtime {
     let mut rng = StdRng::seed_from_u64(seed);
@@ -60,7 +57,6 @@ fn build(n: u32, seed: u64, threads: usize) -> Runtime {
         ..PipelineConfig::default()
     });
     Runtime::new(SimNetwork::new(NetworkConfig::default(), seed), center, households)
-        .with_trace()
 }
 
 /// One traced lockstep run: returns the exported JSONL and the settled
@@ -70,46 +66,65 @@ fn traced_run(n: u32, seed: u64, days: u64, threads: usize) -> (String, Vec<DayR
     let telemetry = Telemetry::with_virtual_clock("obs", seed, Arc::clone(&clock));
     let mut rt = build(n, seed, threads)
         .with_telemetry(&telemetry)
-        .with_virtual_clock(clock, Duration::from_millis(1));
-    rt.run_days(days, DAY);
+        .with_virtual_clock(clock);
+    rt.run_days(days);
     let records = rt.records().to_vec();
     drop(rt);
     (to_jsonl(&telemetry), records)
 }
 
-/// One traced serve-path run (producers → codec → queue → center).
+/// One traced serve-path run (producers → codec → queue → center)
+/// under the driver's virtual clock.
 fn traced_serve_run(n: u32, seed: u64, days: u64) -> String {
-    let telemetry = Telemetry::with_virtual_clock("serve-obs", seed, VirtualClock::new());
+    let clock = VirtualClock::new();
+    let telemetry = Telemetry::with_virtual_clock("serve-obs", seed, Arc::clone(&clock));
     let center = CenterAgent::new(
         Enki::new(EnkiConfig::default()),
         (0..n).map(HouseholdId::new).collect(),
         DayPlan::default(),
         seed,
     );
-    let mut rt =
-        ServeRuntime::new(center, IngestConfig::default(), seed).with_telemetry(&telemetry);
+    let mut rt = ServeRuntime::new(center, IngestConfig::default(), seed)
+        .with_telemetry(&telemetry)
+        .with_virtual_clock(clock);
     for i in 0..n {
         rt.add_producer(ServeProducer::new(
             HouseholdId::new(i),
             RawPreference::new(f64::from(16 + (i % 6)), 23.0, 2.0),
         ));
     }
-    rt.run_days(days, DAY);
+    rt.run_days(days);
     drop(rt);
     to_jsonl(&telemetry)
 }
 
-/// Acceptance: traces replay byte-identically at every thread count,
-/// and the causal stamping survives validation.
+/// Acceptance: traces replay byte-identically at every thread count and
+/// on the served path, the causal stamping survives validation, and the
+/// virtual clock gives every day span its 100 ms.
 #[test]
 fn traces_replay_byte_identically_at_every_thread_count() {
-    for threads in [1usize, 2, 8] {
-        let (a, _) = traced_run(6, 33, 3, threads);
-        let (b, _) = traced_run(6, 33, 3, threads);
-        assert_eq!(a, b, "threads={threads}: same seed must replay identical bytes");
+    let mut runs: Vec<(String, String, String)> = [1usize, 2, 8]
+        .iter()
+        .map(|&threads| {
+            let (a, _) = traced_run(6, 33, 3, threads);
+            let (b, _) = traced_run(6, 33, 3, threads);
+            (format!("threads={threads}"), a, b)
+        })
+        .collect();
+    runs.push(("served".into(), traced_serve_run(6, 33, 3), traced_serve_run(6, 33, 3)));
+    for (label, a, b) in runs {
+        assert_eq!(a, b, "{label}: same seed must replay identical bytes");
         let summary = validate_jsonl(&a).expect("trace validates");
-        assert!(summary.traced > 0, "threads={threads}: no causally stamped spans");
-        assert_eq!(summary.open, 0, "threads={threads}: open spans leaked into export");
+        assert!(summary.traced > 0, "{label}: no causally stamped spans");
+        assert_eq!(summary.open, 0, "{label}: open spans leaked into export");
+        let trace = enki_obs::load_trace(&a).expect("trace loads");
+        let days: Vec<u64> = trace
+            .spans
+            .iter()
+            .filter(|s| s.name == "day")
+            .map(|s| s.end_ns - s.start_ns)
+            .collect();
+        assert_eq!(days, vec![100_000_000; 3], "{label}: day spans under the virtual clock");
     }
 }
 
@@ -182,13 +197,13 @@ fn a_swallowed_day_dumps_a_validating_postmortem() {
     let clock = VirtualClock::new();
     let telemetry = Telemetry::with_virtual_clock("flight", 7, Arc::clone(&clock));
     let mut rt = build(4, 7, 2)
-        .with_center_crashes(vec![CrashSchedule {
+        .with_crashes(vec![CrashSchedule {
             crash_at: 10,
             recover_at: 250,
         }])
         .with_telemetry(&telemetry)
-        .with_virtual_clock(clock, Duration::from_millis(1));
-    rt.run_days(3, DAY);
+        .with_virtual_clock(clock);
+    rt.run_days(3);
     drop(rt);
 
     let postmortems = telemetry.postmortems();
@@ -213,8 +228,8 @@ fn slo_day_health_tracks_deadline_compliance() {
     let telemetry = Telemetry::with_virtual_clock("slo", 11, Arc::clone(&clock));
     let mut rt = build(4, 11, 2)
         .with_telemetry(&telemetry)
-        .with_virtual_clock(clock, Duration::from_millis(1));
-    rt.run_days(3, DAY);
+        .with_virtual_clock(clock);
+    rt.run_days(3);
     assert_eq!(rt.day_health().len(), 3);
     for day in rt.day_health() {
         for status in &day.statuses {
@@ -225,13 +240,13 @@ fn slo_day_health_tracks_deadline_compliance() {
     let clock = VirtualClock::new();
     let telemetry = Telemetry::with_virtual_clock("slo-miss", 11, Arc::clone(&clock));
     let mut rt = build(4, 11, 2)
-        .with_center_crashes(vec![CrashSchedule {
+        .with_crashes(vec![CrashSchedule {
             crash_at: 10,
             recover_at: 250,
         }])
         .with_telemetry(&telemetry)
-        .with_virtual_clock(clock, Duration::from_millis(1));
-    rt.run_days(3, DAY);
+        .with_virtual_clock(clock);
+    rt.run_days(3);
     let breached = rt
         .day_health()
         .iter()
@@ -249,8 +264,8 @@ fn every_emitted_metric_name_is_registered() {
     let telemetry = Telemetry::with_virtual_clock("names", 5, Arc::clone(&clock));
     let mut rt = build(4, 5, 2)
         .with_telemetry(&telemetry)
-        .with_virtual_clock(clock, Duration::from_millis(1));
-    rt.run_days(2, DAY);
+        .with_virtual_clock(clock);
+    rt.run_days(2);
     let _ = check_invariants_traced(&rt, Some(&telemetry.recorder()));
     drop(rt);
     for name in telemetry.metrics().keys() {
@@ -275,7 +290,7 @@ fn every_emitted_metric_name_is_registered() {
             RawPreference::new(f64::from(16 + (i % 6)), 23.0, 2.0),
         ));
     }
-    rt.run_days(2, DAY);
+    rt.run_days(2);
     drop(rt);
     for name in serve_telemetry.metrics().keys() {
         assert!(
@@ -299,8 +314,8 @@ proptest! {
                 Telemetry::with_virtual_clock("obs-prop", seed, Arc::clone(&clock));
             let mut rt = build(4, seed, threads)
                 .with_telemetry(&telemetry)
-                .with_virtual_clock(clock, Duration::from_millis(1));
-            rt.run_days(2, DAY);
+                .with_virtual_clock(clock);
+            rt.run_days(2);
             drop(rt);
             let a = to_jsonl(&telemetry);
 
@@ -309,8 +324,8 @@ proptest! {
                 Telemetry::with_virtual_clock("obs-prop", seed, Arc::clone(&clock));
             let mut rt = build(4, seed, threads)
                 .with_telemetry(&again)
-                .with_virtual_clock(clock, Duration::from_millis(1));
-            rt.run_days(2, DAY);
+                .with_virtual_clock(clock);
+            rt.run_days(2);
             drop(rt);
             let b = to_jsonl(&again);
 

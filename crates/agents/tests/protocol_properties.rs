@@ -55,7 +55,7 @@ proptest! {
         seed in any::<u64>(),
     ) {
         let mut rt = runtime(n, drop, seed);
-        rt.run_days(2, 100);
+        rt.run_days(2);
         prop_assert_eq!(rt.records().len(), 2);
         for record in rt.records() {
             let accounted = record.participants.len() + record.missing_reports.len();
@@ -82,7 +82,7 @@ proptest! {
         seed in any::<u64>(),
     ) {
         let mut rt = runtime(n, drop, seed);
-        rt.run_days(3, 100);
+        rt.run_days(3);
         for i in 0..n {
             let agent = rt.household(HouseholdId::new(i)).unwrap();
             for &(day, amount) in agent.bills() {
@@ -105,7 +105,7 @@ proptest! {
     #[test]
     fn reliable_network_has_no_gaps(n in 2u32..10, seed in any::<u64>()) {
         let mut rt = runtime(n, 0.0, seed);
-        rt.run_days(2, 100);
+        rt.run_days(2);
         for record in rt.records() {
             prop_assert_eq!(record.participants.len(), n as usize);
             prop_assert!(record.missing_reports.is_empty());

@@ -156,7 +156,7 @@ fn every_overload_schedule_preserves_oracle_invariants() {
         for seed in [11, 42] {
             let mut rt = runtime(6, schedule.config, schedule.burst, seed)
                 .with_crashes(schedule.crashes.clone());
-            rt.run_days(DAYS, DAY);
+            rt.run_days(DAYS);
             let label = format!("schedule #{i} ({}) seed {seed}", schedule.name);
             assert_oracle_clean(&rt, &label);
             assert_days_closed(&rt, &label);
@@ -203,7 +203,7 @@ fn backpressure_defers_but_everyone_participates() {
         )
     }) {
         let mut rt = runtime(6, config, burst, 7);
-        rt.run_days(DAYS, DAY);
+        rt.run_days(DAYS);
         for record in rt.records() {
             assert_eq!(
                 record.participants.len(),
@@ -228,7 +228,7 @@ fn shed_everything_overload_closes_empty_days() {
         backoff: Backoff::new(1, 4),
     };
     let mut rt = runtime(4, config, 1, 13);
-    rt.run_days(DAYS, DAY);
+    rt.run_days(DAYS);
     assert_days_closed(&rt, "shed everything");
     assert_oracle_clean(&rt, "shed everything");
     let stats = rt.ingest_stats();
@@ -305,7 +305,7 @@ fn mid_batch_crash_recovers_queued_work_from_the_checkpoint() {
         crash_at: 4,
         recover_at: 8,
     }]);
-    rt.run_days(DAYS, DAY);
+    rt.run_days(DAYS);
     assert_days_closed(&rt, "mid-batch crash");
     assert_oracle_clean(&rt, "mid-batch crash");
     let day0 = &rt.records()[0];
@@ -335,7 +335,7 @@ fn overloaded_traces_are_byte_reproducible_jsonl() {
             crash_at: 40,
             recover_at: 48,
         }]);
-        rt.run_days(DAYS, DAY);
+        rt.run_days(DAYS);
         let mut jsonl = String::new();
         for event in rt.trace() {
             jsonl.push_str(&serde_json::to_string(event).expect("trace serializes"));

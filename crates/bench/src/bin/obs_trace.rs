@@ -1,7 +1,8 @@
 //! Exports a causally-stamped telemetry trace for the `enki-obs` CLI.
 //!
 //! Runs the serve-path runtime (producers → wire codec → bounded ingest
-//! queue → center) for a few days under a virtual clock, so every stage
+//! queue → center) for a few days under the driver's virtual clock (1 ms
+//! per tick), so `day` spans carry real durations and every stage
 //! of the report lifecycle — `producer.report`, `ingest.enqueue`,
 //! `center.admit`, `center.settle`, `center.bill` — is witnessed by a
 //! span carrying derived [`TraceContext`]
@@ -12,6 +13,7 @@
 //! CI job and EXPERIMENTS.md).
 
 use std::fs;
+use std::sync::Arc;
 
 use enki_agents::prelude::*;
 use enki_bench::{experiments_dir, RunArgs};
@@ -24,28 +26,29 @@ use enki_telemetry::{to_jsonl, validate_jsonl, Telemetry, TraceContext, VirtualC
 
 const HOUSEHOLDS: u32 = 6;
 const DAYS: u64 = 3;
-const DAY: Tick = 100;
 
 fn main() {
     let args = RunArgs::from_env();
     let seed = args.seed;
 
-    let telemetry = Telemetry::with_virtual_clock("obs-trace", seed, VirtualClock::new());
+    let clock = VirtualClock::new();
+    let telemetry = Telemetry::with_virtual_clock("obs-trace", seed, Arc::clone(&clock));
     let center = CenterAgent::new(
         Enki::new(EnkiConfig::default()),
         (0..HOUSEHOLDS).map(HouseholdId::new).collect(),
         DayPlan::default(),
         seed,
     );
-    let mut rt =
-        ServeRuntime::new(center, IngestConfig::default(), seed).with_telemetry(&telemetry);
+    let mut rt = ServeRuntime::new(center, IngestConfig::default(), seed)
+        .with_telemetry(&telemetry)
+        .with_virtual_clock(clock);
     for i in 0..HOUSEHOLDS {
         rt.add_producer(ServeProducer::new(
             HouseholdId::new(i),
             RawPreference::new(f64::from(16 + (i % 6)), 23.0, 2.0),
         ));
     }
-    rt.run_days(DAYS, DAY);
+    rt.run_days(DAYS);
     drop(rt);
 
     let jsonl = to_jsonl(&telemetry);
@@ -59,7 +62,7 @@ fn main() {
 
     let dir = experiments_dir();
     let path = dir.join("obs_trace.jsonl");
-    if let Err(e) = fs::write(&path, &jsonl) {
+    if let Err(e) = fs::create_dir_all(&dir).and_then(|()| fs::write(&path, &jsonl)) {
         eprintln!("obs_trace: write {}: {e}", path.display());
         std::process::exit(1);
     }

@@ -54,15 +54,6 @@ pub enum Error {
     /// A settlement input referenced a household with no allocation, or
     /// omitted a household that was allocated.
     UnknownHousehold(crate::household::HouseholdId),
-    /// A deployment household failed to answer within a protocol phase's
-    /// timeout.
-    Timeout {
-        /// The unresponsive household.
-        household: crate::household::HouseholdId,
-        /// The protocol phase that timed out (e.g. `"report"`,
-        /// `"reading"`).
-        phase: &'static str,
-    },
     /// A value that must be a finite real number (a payment, a score, a
     /// cost) was NaN or infinite.
     NonFiniteValue {
@@ -124,9 +115,6 @@ impl fmt::Display for Error {
             Error::UnknownHousehold(id) => {
                 write!(f, "household {id} is missing from or unknown to this operation")
             }
-            Error::Timeout { household, phase } => {
-                write!(f, "household {household} timed out in the {phase} phase")
-            }
             Error::NonFiniteValue { parameter } => {
                 write!(f, "non-finite value for {parameter}")
             }
@@ -178,10 +166,6 @@ mod tests {
             Error::EmptyNeighborhood,
             Error::DuplicateHousehold(HouseholdId::new(7)),
             Error::UnknownHousehold(HouseholdId::new(9)),
-            Error::Timeout {
-                household: HouseholdId::new(2),
-                phase: "report",
-            },
             Error::NonFiniteValue { parameter: "payment" },
             Error::SolveFailed { stage: "greedy" },
             Error::RecoveryAudit {

@@ -37,7 +37,7 @@ fn main() {
     // carry the day.
     let network = SimNetwork::new(NetworkConfig::lossy(0.2), 2017);
     let mut runtime = Runtime::new(network, center, households);
-    runtime.run_days(7, 100);
+    runtime.run_days(7);
 
     println!("One week over a 20%-loss network:\n");
     for record in runtime.records() {
@@ -70,28 +70,35 @@ fn main() {
         .all(|s| s.center_utility >= -1e-9));
     println!("\nEvery settled day stayed budget balanced (Theorem 1 under packet loss).");
 
-    // The same protocol on real threads (reliable channels).
+    // The same protocol with each household agent on its own OS thread,
+    // over a reliable one-tick link.
     let mut rng = StdRng::seed_from_u64(7);
-    let specs: Vec<ThreadedHousehold> = (0..8)
+    let households: Vec<ThreadedHousehold> = (0..8)
         .map(|i| ThreadedHousehold {
-            id: HouseholdId::new(i),
-            profile: UsageProfile::generate(&mut rng, &config),
-            truth_source: TruthSource::Wide,
-            strategy: ReportStrategy::TruthfulWide,
+            agent: HouseholdAgent::new(
+                HouseholdId::new(i),
+                UsageProfile::generate(&mut rng, &config),
+                TruthSource::Wide,
+                ReportStrategy::TruthfulWide,
+                ReportSource::Strategy,
+            ),
             fault: ThreadedFault::None,
         })
         .collect();
-    let days = run_threaded_days(
+    let center = CenterAgent::new(
         Enki::default(),
-        specs,
-        1,
+        (0..8).map(HouseholdId::new).collect(),
+        DayPlan::default(),
         7,
-        std::time::Duration::from_secs(5),
-    )
-    .expect("threaded day completes");
+    );
+    let (records, agents) =
+        run_threaded_days(center, households, 1, std::time::Duration::from_secs(5), None)
+            .expect("a non-empty roster runs");
+    let settlement = records[0].settlement.as_ref().expect("the threaded day settles");
     println!(
-        "\nThreaded deployment: {} households settled concurrently, cost ${:.2}.",
-        days[0].settlement.entries.len(),
-        days[0].settlement.total_cost
+        "\nThreaded deployment: {} households settled on their own threads, cost ${:.2}, {} bills received.",
+        settlement.entries.len(),
+        settlement.total_cost,
+        agents.iter().map(|a| a.bills().len()).sum::<usize>()
     );
 }
