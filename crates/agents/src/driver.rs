@@ -565,26 +565,16 @@ impl<T: Transport> Driver<T> {
 }
 
 #[cfg(test)]
-mod tests {
+pub(crate) mod tests {
     use super::*;
     use crate::center::DayPlan;
     use crate::durable::JournalConfig;
-    use crate::household::{HouseholdAgent, ReportSource};
     use crate::message::{Message, NodeId};
-    use crate::network::{NetworkConfig, SimNetwork};
-    use crate::runtime::Runtime;
-    use crate::serve_runtime::{ServeProducer, ServeRuntime};
     use enki_core::config::EnkiConfig;
     use enki_core::household::HouseholdId;
     use enki_core::mechanism::Enki;
     use enki_core::validation::RawPreference;
     use enki_durable::prelude::{FaultPlan, FaultStorage};
-    use enki_serve::prelude::IngestConfig;
-    use enki_sim::behavior::ReportStrategy;
-    use enki_sim::neighborhood::TruthSource;
-    use enki_sim::profile::{ProfileConfig, UsageProfile};
-    use rand::rngs::StdRng;
-    use rand::SeedableRng;
 
     fn center(n: u32, seed: u64) -> CenterAgent {
         CenterAgent::new(
@@ -595,39 +585,12 @@ mod tests {
         )
     }
 
-    fn simulated(n: u32, seed: u64) -> Runtime {
-        let mut rng = StdRng::seed_from_u64(seed);
-        let households = (0..n)
-            .map(|i| {
-                HouseholdAgent::new(
-                    HouseholdId::new(i),
-                    UsageProfile::generate(&mut rng, &ProfileConfig::default()),
-                    TruthSource::Wide,
-                    ReportStrategy::TruthfulWide,
-                    ReportSource::Strategy,
-                )
-            })
-            .collect();
-        let network = SimNetwork::new(NetworkConfig::default(), seed);
-        Runtime::new(network, center(n, seed), households)
-    }
-
-    fn served(n: u32, seed: u64) -> ServeRuntime {
-        let mut rt = ServeRuntime::new(center(n, seed), IngestConfig::default(), seed);
-        for i in 0..n {
-            rt.add_producer(ServeProducer::new(
-                HouseholdId::new(i),
-                RawPreference::new(f64::from(16 + (i % 6)), 23.0, 2.0),
-            ));
-        }
-        rt
-    }
-
-    /// Day 1 settles, then the center crashes before day 1 ends and
-    /// stays down past the end of day 2. The evaluations during the
-    /// outage must not rewind, and the one after recovery must feed only
-    /// the days it has not seen.
-    fn feeds_each_closed_day_once<T: Transport>(rt: Driver<T>, label: &str) {
+    /// Runs `rt` for five days with the center down from tick 190 to 302:
+    /// day 1 settles, then the center crashes before day 1 ends and stays
+    /// down past the end of day 2. The evaluations during the outage must
+    /// not rewind, and the one after recovery must feed only the days it has
+    /// not seen. Shared by each transport's tests.
+    pub(crate) fn assert_feeds_each_closed_day_once<T: Transport>(rt: Driver<T>, label: &str) {
         let telemetry = Telemetry::new(label, 5);
         let mut rt = rt
             .with_crashes(vec![CrashSchedule {
@@ -651,12 +614,6 @@ mod tests {
             .collect();
         assert_eq!(fed, days, "{label}: each closed day reaches the monitor once");
         assert_eq!(rt.day_health().iter().map(|h| h.bills).sum::<u64>(), bills);
-    }
-
-    #[test]
-    fn slo_monitor_sees_each_closed_day_once_across_a_crash() {
-        feeds_each_closed_day_once(simulated(4, 5), "simulated");
-        feeds_each_closed_day_once(served(4, 5), "served");
     }
 
     /// A household end that sends the center one report every tick and

@@ -167,6 +167,7 @@ mod tests {
 
     use super::*;
     use crate::center::DayPlan;
+    use crate::driver::tests::assert_feeds_each_closed_day_once;
     use crate::driver::CrashSchedule;
     use crate::household::ReportSource;
     use crate::network::{FaultPlan, NetworkConfig, Partition};
@@ -413,6 +414,11 @@ mod tests {
         // Readings lost while the center was down were re-sent by the
         // household retry loop before the meter deadline.
         assert!(records[0].missing_readings.is_empty());
+    }
+
+    #[test]
+    fn slo_monitor_sees_each_closed_day_once_across_a_crash() {
+        assert_feeds_each_closed_day_once(build(4, NetworkConfig::default(), 5), "slo-crash");
     }
 
     #[test]

@@ -475,6 +475,7 @@ impl ServeRuntime {
 #[cfg(test)]
 mod tests {
     use super::*;
+    use crate::driver::tests::assert_feeds_each_closed_day_once;
     use enki_core::config::EnkiConfig;
     use enki_serve::prelude::Backoff;
 
@@ -496,6 +497,12 @@ mod tests {
             ));
         }
         rt
+    }
+
+    #[test]
+    fn slo_monitor_sees_each_closed_day_once_across_a_crash() {
+        let rt = runtime(4, IngestConfig::default(), 5);
+        assert_feeds_each_closed_day_once(rt, "serve-slo-crash");
     }
 
     #[test]
