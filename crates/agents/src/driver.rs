@@ -217,10 +217,9 @@ impl<T: Transport> Driver<T> {
         self
     }
 
-    /// Attaches telemetry: the center, the transport and an attached
-    /// journal record into the same sink, and every agent derives its
-    /// causal ids from the run seed. Attach the journal first so it is
-    /// wired too.
+    /// Attaches telemetry: the center, the transport and the journal
+    /// (attached before or after) record into the same sink, and every
+    /// agent derives its causal ids from the run seed.
     #[must_use]
     pub fn with_telemetry(mut self, telemetry: &Telemetry) -> Self {
         let center = &mut self.hub.center;
@@ -256,7 +255,10 @@ impl<T: Transport> Driver<T> {
     /// oracle audit. Attach before the first tick, or a recovery rolls
     /// back past the commits the log never saw.
     #[must_use]
-    pub fn with_journal(mut self, journal: Journal) -> Self {
+    pub fn with_journal(mut self, mut journal: Journal) -> Self {
+        if let Some(observer) = self.observer.as_ref() {
+            journal.set_recorder(observer.telemetry.recorder());
+        }
         self.logged_commit_seq = self.hub.center.commit_seq();
         self.journal = Some(journal);
         self
@@ -641,6 +643,32 @@ pub(crate) mod tests {
                 trace: None,
             });
         }
+    }
+
+    #[test]
+    fn both_builder_orders_export_the_same_durable_metrics() {
+        let durable_metrics = |journal_first: bool| {
+            let clock = VirtualClock::new();
+            let telemetry = Telemetry::with_virtual_clock("builder-order", 3, Arc::clone(&clock));
+            let (journal, _) =
+                Journal::open(FaultStorage::new(FaultPlan::none()), JournalConfig::default())
+                    .unwrap();
+            let rt = Driver::assemble(center(3, 1), Chatty::default());
+            let mut rt = if journal_first {
+                rt.with_journal(journal).with_telemetry(&telemetry)
+            } else {
+                rt.with_telemetry(&telemetry).with_journal(journal)
+            };
+            rt.run_ticks(5);
+            // Dropping the driver flushes every recorder it handed out.
+            drop(rt);
+            let mut metrics = telemetry.metrics();
+            metrics.retain(|name, _| name.starts_with("durable."));
+            metrics
+        };
+        let journal_first = durable_metrics(true);
+        assert!(journal_first.contains_key("durable.records_written"), "{journal_first:?}");
+        assert_eq!(durable_metrics(false), journal_first);
     }
 
     #[test]

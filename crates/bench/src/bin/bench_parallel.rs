@@ -19,8 +19,12 @@
 //! `--gate` switches to regression-check mode: instead of overwriting
 //! the committed baseline, the fresh run is compared against it and the
 //! process exits nonzero if any N ≤ 256 row fails to answer from a
-//! proven exact solve, or if single-thread wall time at N = 256
-//! regressed by more than 25% (with an absolute jitter floor).
+//! proven exact solve, if any row's exact work — search nodes, rung,
+//! proof status or objective bits — differs from the committed row with
+//! the same (N, threads), or if single-thread wall time at N = 256
+//! regressed by more than 25% (with an absolute jitter floor). The
+//! budget is node-only, so the exact work is a pure function of the seed
+//! and host noise never moves it.
 //!
 //! `--profile` additionally prints per-phase timings of the parallel
 //! exact rung (enumerate / speculate / validate / bound) for each cell
@@ -257,7 +261,12 @@ fn main() -> Result<(), Box<dyn std::error::Error>> {
         //    these instances inside the node budget, and silently
         //    degrading back to `local_search` is the regression this
         //    gate exists to catch.
-        // 2. The single-thread N = 256 wall time must stay within the
+        // 2. Every fresh row must do the committed row's exact work: the
+        //    same node count, rung, proof status and objective bits at the
+        //    same (N, threads). Under a node-only budget these are pure
+        //    functions of the seed, so any difference is a real change —
+        //    a weaker bound shows up here long before the wall gate.
+        // 3. The single-thread N = 256 wall time must stay within the
         //    committed baseline × GATE_FACTOR (plus an absolute floor so
         //    sub-100 ms scheduler jitter cannot fail CI).
         for row in record.rows.iter().filter(|r| r.n <= 256) {
@@ -272,6 +281,45 @@ fn main() -> Result<(), Box<dyn std::error::Error>> {
         }
         let committed: ParallelRecord =
             serde_json::from_str(&fs::read_to_string(&baseline_path)?)?;
+        for row in &record.rows {
+            let Some(base) = committed
+                .rows
+                .iter()
+                .find(|b| b.n == row.n && b.threads == row.threads)
+            else {
+                return Err(format!(
+                    "gate row n={} threads={} missing from the committed baseline",
+                    row.n, row.threads
+                )
+                .into());
+            };
+            if row.nodes != base.nodes
+                || row.rung != base.rung
+                || row.proven_optimal != base.proven_optimal
+                || row.objective.to_bits() != base.objective.to_bits()
+            {
+                return Err(format!(
+                    "exact-work regression: n={} threads={} did {} nodes on `{}` \
+                     (proven_optimal={}, objective {}) where the committed row did \
+                     {} nodes on `{}` (proven_optimal={}, objective {})",
+                    row.n,
+                    row.threads,
+                    row.nodes,
+                    row.rung,
+                    row.proven_optimal,
+                    row.objective,
+                    base.nodes,
+                    base.rung,
+                    base.proven_optimal,
+                    base.objective
+                )
+                .into());
+            }
+        }
+        eprintln!(
+            "gate: exact work of {} rows matches the committed baseline",
+            record.rows.len()
+        );
         let pick = |record: &ParallelRecord| {
             record
                 .rows

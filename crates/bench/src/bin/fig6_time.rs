@@ -20,7 +20,7 @@ fn main() -> Result<(), Box<dyn std::error::Error>> {
             vec![
                 r.n.to_string(),
                 mean_ci(&r.enki_time_ms, 3),
-                mean_ci(&r.optimal_time_ms, 1),
+                mean_ci(&r.optimal_time_ms, 2),
                 format!("{:.0}x", r.time_ratio()),
                 format!("{}/{}", r.optimal_proven, r.enki_time_ms.count),
                 format!("{:.1}%", 100.0 * r.optimal_gap.mean),

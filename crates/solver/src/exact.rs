@@ -29,11 +29,16 @@
 //!   from the first node.
 //! * **Bounds** — layered cheap-to-strong: a Lagrangian *price bound*
 //!   first (fixed-point integer prices from the continuous relaxation's
-//!   dual optimum, solved once per instance by Frank–Wolfe — O(hours)
-//!   per node and tight to within the integrality gap), then the
-//!   analytic integer union fill ([`unit_fill_extra`]), then the
+//!   dual, solved once per instance by Frank–Wolfe — O(hours) per node,
+//!   with each hour's saving taken over whole-unit loads only), then
+//!   the analytic integer union fill ([`unit_fill_extra`]), then the
 //!   pigeonhole partition bound ([`unit_pigeonhole_bound`]) with its
 //!   values memoized per `(slot, counts)` subtree key.
+//! * **Parity** — every household adds its duration in units, so `Σc` is
+//!   the same for every schedule, and `c² ≡ c (mod 2)` gives every
+//!   schedule's `Σc²` that one parity. A better schedule than the
+//!   incumbent therefore sits at `best − 2` or below, and every prune test
+//!   fires once its bound exceeds `best − 2`.
 //! * **Dominance** — different orders of interleaving class decisions can
 //!   reach the same `(slot, counts)` state; once a state's subtree has
 //!   been exhausted, revisits are pruned. The dominance set is scoped to
@@ -47,7 +52,7 @@
 //! settlements and traces remain byte-reproducible.
 
 use std::collections::BTreeMap;
-use std::sync::Arc;
+use std::sync::{Arc, OnceLock};
 use std::time::Duration;
 
 use enki_core::time::HOURS_PER_DAY;
@@ -76,8 +81,10 @@ pub struct SolveReport {
     pub proven_optimal: bool,
     /// Objective of the initial (local-search) incumbent, for gap reporting.
     pub initial_incumbent: f64,
-    /// The root relaxation's lower bound on the optimum (σ-scaled). Valid
-    /// whether or not the search completed.
+    /// The root relaxation's lower bound on the optimum (σ-scaled): the
+    /// strongest of the union fill, the integer price bound and, when
+    /// those two do not already prove the incumbent, the pigeonhole
+    /// bound. Valid whether or not the search completed.
     pub root_bound: f64,
 }
 
@@ -308,20 +315,16 @@ impl BranchAndBound {
         let eq = EquivalenceClasses::group(problem);
         let class_count = eq.class_count();
 
-        // Suffix slot-hour units, suffix allowed-hours mask, and suffix
-        // pigeonhole tables per *class* index: entry `c` covers classes
-        // `c..`, so `c + 1` is "everything after the class being branched".
+        // Suffix slot-hour units and suffix allowed-hours mask per
+        // *class* index: entry `c` covers classes `c..`, so `c + 1` is
+        // "everything after the class being branched".
         let mut suffix_units = vec![0u32; class_count + 1];
         let mut suffix_mask = vec![0u32; class_count + 1];
-        let mut suffix_forced = vec![ForcedUnits::new(); class_count + 1];
         for c in (0..class_count).rev() {
             let class = &eq.classes()[c];
             let p = class.preference();
             suffix_units[c] = suffix_units[c + 1] + class.size() * u32::from(p.duration());
             suffix_mask[c] = suffix_mask[c + 1] | hours_mask(p.begin(), p.end());
-            let mut forced = suffix_forced[c + 1].clone();
-            forced.add_window_times(p.begin(), p.end(), p.duration(), class.size());
-            suffix_forced[c] = forced;
         }
 
         // Per-slot branching tables in class order, deferments ascending.
@@ -381,90 +384,61 @@ impl BranchAndBound {
         // Reference prices for the Lagrangian price bound. For any price
         // vector λ ≥ 0,
         //
-        //   min Σ(c+x)²  ≥  min⟨λ, x⟩ + Σ_h min_{y≥0}[(c_h+y)² − λ_h y]
-        //                =  Σ_jobs min-block λ-price + Σc² − Σ(λ/2−c)₊²
+        //   min Σ(c+x)²  ≥  min⟨λ, x⟩ + Σ_h min_{y∈ℕ}[(c_h+y)² − λ_h y]
         //
         // where the job minimum ranges over each remaining member's
-        // feasible contiguous blocks. The bound is tightest at the dual
+        // feasible contiguous blocks and y over whole units, because hour
+        // loads are integers. The bound is near its best at the dual
         // optimum λ* = 2·x* of the continuous relaxation, which
-        // Frank-Wolfe approaches to within [`FW_EPS`]; the prices are then
-        // frozen as fixed-point integers Λ = round(λ·2^[`PRICE_SHIFT`]) so
-        // every in-tree evaluation is exact `u64` arithmetic (any Λ ≥ 0
-        // keeps the bound admissible — rounding only loosens it).
-        let lambda = relaxation_prices(&eq, &counts);
-        let mut slot_price = vec![0u64; eq.slot_count()];
-        for (s, info) in slots.iter().enumerate() {
-            let mut bits = info.block_mask;
-            let mut sum = 0u64;
-            while bits != 0 {
-                let h = bits.trailing_zeros() as usize;
-                sum += lambda[h];
-                bits &= bits - 1;
-            }
-            slot_price[s] = sum;
-        }
-        // Suffix-min within each class: members still unassigned at slot
-        // (class, d) may only take deferments ≥ d.
-        let mut min_price_from = slot_price.clone();
-        for s in (0..min_price_from.len().saturating_sub(1)).rev() {
-            if slots[s].class == slots[s + 1].class {
-                min_price_from[s] = min_price_from[s].min(min_price_from[s + 1]);
-            }
-        }
-        // Σ over whole classes `c'. ≥ c` of size · min block price.
-        // Saturating: past the envelope below the sums are never used.
-        let mut suffix_price = vec![0u64; class_count + 1];
-        for c in (0..class_count).rev() {
-            let first_slot = eq.offset(c);
-            suffix_price[c] = suffix_price[c + 1].saturating_add(
-                u64::from(class_size[c]).saturating_mul(min_price_from[first_slot]),
-            );
-        }
-        // The in-tree price part is at most every member at its class's
-        // dearest block.
-        let price_cap = (0..class_count).fold(0u64, |cap, c| {
-            let dearest = slot_price[eq.offset(c)..eq.offset(c + 1)]
-                .iter()
-                .copied()
-                .max()
-                .unwrap_or(0);
-            cap.saturating_add(u64::from(class_size[c]).saturating_mul(dearest))
-        });
-        let price_bound = price_bound_fits(price_cap, incumbent_sumsq, &lambda);
-        let rate = problem.rate();
-        let sigma = problem.sigma();
-        let zero = [0u32; HOURS_PER_DAY];
-        let fill = unit_fill_extra(&zero, suffix_mask[0], suffix_units[0]);
-        let pigeon = unit_pigeonhole_bound(&zero, suffix_mask[0], &suffix_forced[0]);
-        // Root price bound (f64 for reporting only; the in-tree prune
-        // comparison stays in scaled integers): at the empty prefix the
-        // per-hour penalty is ΣΛ²/4S² and the price part is Σ·Λ-min/S.
-        let scale = f64::from(1u32 << PRICE_SHIFT);
-        let lambda_sq: f64 = lambda.iter().map(|&l| (l as f64) * (l as f64)).sum();
-        let lag_root = if price_bound {
-            (suffix_price[0] as f64) / scale - lambda_sq / (4.0 * scale * scale)
-        } else {
-            0.0
-        };
-        let root_bound =
-            sigma * rate * rate * (fill.max(pigeon) as f64).max(lag_root.max(0.0));
-        Ok(Prep {
+        // Frank-Wolfe approaches; the prices are then frozen as
+        // fixed-point integers Λ = round(λ·2^[`PRICE_SHIFT`]) so every
+        // in-tree evaluation is exact `u64` arithmetic (any Λ ≥ 0 keeps
+        // the bound admissible — rounding only loosens it).
+        let lambda = relaxation_prices(&eq, &counts, incumbent_sumsq);
+        let mut prep = Prep {
             eq,
             slots,
             class_size,
             suffix_units,
-            suffix_forced,
+            suffix_forced: OnceLock::new(),
             split_slot,
             memo_floor,
             incumbent_chosen,
             incumbent_sumsq,
             initial_incumbent,
-            root_bound,
-            price_bound,
+            root_bound: 0.0,
+            price_bound: false,
             lambda,
-            min_price_from,
-            suffix_price,
-        })
+            min_price_from: Vec::new(),
+            suffix_price: Vec::new(),
+        };
+        prep.set_prices(lambda);
+
+        // Root bounds, reported in Σc² units (f64 for reporting only; the
+        // in-tree prune comparisons stay in scaled integers). At the
+        // empty prefix the price part is Σ·Λ-min and every hour's saving
+        // is its integer penalty at c = 0.
+        let zero = [0u32; HOURS_PER_DAY];
+        let fill = unit_fill_extra(&zero, suffix_mask[0], prep.suffix_units[0]);
+        let (lag_root, price_proves) = if prep.price_bound {
+            let penalty = root_penalty(&lambda);
+            let scaled = (prep.suffix_price[0] << (PRICE_SHIFT + 2)).saturating_sub(penalty);
+            (
+                scaled as f64 / (1u64 << SUMSQ_SHIFT) as f64,
+                price_prunes(prep.suffix_price[0], 0, penalty, incumbent_sumsq),
+            )
+        } else {
+            (0.0, false)
+        };
+        let mut bound = (fill as f64).max(lag_root);
+        // A root that the price bound or the union fill already proves
+        // never builds the pigeonhole tables.
+        if !price_proves && !cannot_improve(fill, incumbent_sumsq) {
+            let pigeon = unit_pigeonhole_bound(&zero, suffix_mask[0], &prep.suffix_forced()[0]);
+            bound = bound.max(pigeon as f64);
+        }
+        prep.root_bound = problem.sigma() * problem.rate() * problem.rate() * bound;
+        Ok(prep)
     }
 }
 
@@ -491,28 +465,127 @@ const BOUND_CACHE_CAP: usize = 100_000;
 /// instances (`Σc²` at n=1024 is ≈ 2^19).
 const PRICE_SHIFT: u32 = 16;
 
+/// Shift that lifts a `Σc²` value to the price-bound comparison's scale
+/// `4·2^(2·PRICE_SHIFT)`.
+const SUMSQ_SHIFT: u32 = 2 * PRICE_SHIFT + 2;
+
+/// One whole unit of hour load on the scale of an hour's price
+/// shortfall `Λ − 2^(PRICE_SHIFT+1)·c` (see [`integer_penalty`]). A power
+/// of two, so rounding to it is a mask.
+const LOAD_UNIT: u64 = 1 << (PRICE_SHIFT + 1);
+
+/// The parity cut's 2 `Σc²` units at the comparison scale: the price
+/// bound prunes once it exceeds `best − 2`.
+const PARITY_SLACK: u64 = 2 << SUMSQ_SHIFT;
+
+/// The parity cut for an integer bound on `Σc²`. Every schedule's `Σc²`
+/// has the parity of the schedule-independent `Σc`, so anything better
+/// than `best` is at most `best − 2`: a subtree whose bound exceeds that
+/// holds no improvement.
+#[inline]
+fn cannot_improve(bound: u64, best: u64) -> bool {
+    bound + 1 >= best
+}
+
+/// What one live hour can still save below its price level, at the
+/// comparison scale, with whole-unit loads: `min_{y∈ℕ}[(c+y)² − λy]` is
+/// `c² − (s² − r²)` for the real shortfall `s = λ/2 − c` and its distance
+/// `r` to the nearest integer. `short` is `s` in fixed point
+/// (`Λ − 2^(PRICE_SHIFT+1)·c`, saturated at 0), so `r` is its distance to
+/// the nearest multiple of [`LOAD_UNIT`].
+#[inline]
+fn integer_penalty(short: u64) -> u64 {
+    let below = short & (LOAD_UNIT - 1);
+    let r = below.min(LOAD_UNIT - below);
+    short * short - r * r
+}
+
+/// The price-bound prune test at the comparison scale: the bound
+/// `price/2^PRICE_SHIFT + sumsq − penalty/2^SUMSQ_SHIFT` exceeds
+/// `best − 2`, rearranged to stay unsigned. Exact inside the instance's
+/// [`price_bound_fits`] envelope.
+#[inline]
+fn price_prunes(price_part: u64, sumsq: u64, penalty: u64, best: u64) -> bool {
+    (price_part << (PRICE_SHIFT + 2)) + (sumsq << SUMSQ_SHIFT) + PARITY_SLACK
+        > (best << SUMSQ_SHIFT) + penalty
+}
+
+/// Σ over every hour of the [`integer_penalty`] at an empty prefix (`c =
+/// 0`). Hours no window reaches carry `Λ = 0` and add nothing. Call only
+/// inside the [`price_bound_fits`] envelope.
+fn root_penalty(lambda: &[u64; HOURS_PER_DAY]) -> u64 {
+    lambda.iter().map(|&l| integer_penalty(l)).sum()
+}
+
 /// Whether every term of the scaled price-bound comparison in
-/// [`Search::bound_prunes`] fits `u64` on this instance. The search only
+/// [`price_prunes`] fits `u64` on this instance. The search only
 /// descends while the prefix Σc² is below the incumbent's, the price
 /// part never exceeds `price_cap`, and the penalty never exceeds ΣΛ².
 /// Outside this envelope the price bound is skipped: union fill and
 /// pigeonhole still prune, so the search stays exact, only slower.
 fn price_bound_fits(price_cap: u64, incumbent_sumsq: u64, lambda: &[u64; HOURS_PER_DAY]) -> bool {
-    let sumsq_part = incumbent_sumsq.checked_mul(1 << (2 * PRICE_SHIFT + 2));
+    let sumsq_part = incumbent_sumsq.checked_mul(1 << SUMSQ_SHIFT);
     let price_part = price_cap.checked_mul(1 << (PRICE_SHIFT + 2));
     let penalty = lambda
         .iter()
         .try_fold(0u64, |acc, &l| acc.checked_add(l.checked_mul(l)?));
     let lhs = sumsq_part
         .zip(price_part)
-        .and_then(|(s, p)| s.checked_add(p));
+        .and_then(|(s, p)| s.checked_add(p)?.checked_add(PARITY_SLACK));
     let rhs = sumsq_part.zip(penalty).and_then(|(s, q)| s.checked_add(q));
     lhs.is_some() && rhs.is_some()
 }
 
+/// The Λ-price of every `(class, deferment)` block, in slot order.
+fn slot_prices(eq: &EquivalenceClasses, lambda: &[u64; HOURS_PER_DAY]) -> Vec<u64> {
+    // Λ_h < 2^49 (see `fixed_prices`), so 24 of them sum well inside u64.
+    let mut prefix = [0u64; HOURS_PER_DAY + 1];
+    for h in 0..HOURS_PER_DAY {
+        prefix[h + 1] = prefix[h] + lambda[h];
+    }
+    let mut prices = Vec::with_capacity(eq.slot_count());
+    for class in eq.classes() {
+        let p = class.preference();
+        let (b, v) = (usize::from(p.begin()), usize::from(p.duration()));
+        for d in 0..usize::from(class.choices()) {
+            prices.push(prefix[b + d + v] - prefix[b + d]);
+        }
+    }
+    prices
+}
+
+/// Σ over classes of size · cheapest block price and of size · dearest
+/// block price, saturating: the root price part and the cap on every
+/// in-tree price part.
+fn class_price_totals(eq: &EquivalenceClasses, slot_price: &[u64]) -> (u64, u64) {
+    let mut totals = (0u64, 0u64);
+    for (c, class) in eq.classes().iter().enumerate() {
+        let blocks = &slot_price[eq.offset(c)..eq.offset(c + 1)];
+        let size = u64::from(class.size());
+        let cheapest = blocks.iter().copied().min().unwrap_or(0);
+        let dearest = blocks.iter().copied().max().unwrap_or(0);
+        totals.0 = totals.0.saturating_add(size.saturating_mul(cheapest));
+        totals.1 = totals.1.saturating_add(size.saturating_mul(dearest));
+    }
+    totals
+}
+
+/// Whether the price bound at `lambda` runs on this instance and prunes
+/// the root against `incumbent_sumsq`: the search's first prune test,
+/// evaluated ahead of it.
+fn root_price_proves(
+    eq: &EquivalenceClasses,
+    lambda: &[u64; HOURS_PER_DAY],
+    incumbent_sumsq: u64,
+) -> bool {
+    let (cheapest, cap) = class_price_totals(eq, &slot_prices(eq, lambda));
+    price_bound_fits(cap, incumbent_sumsq, lambda)
+        && price_prunes(cheapest, 0, root_penalty(lambda), incumbent_sumsq)
+}
+
 /// Frank-Wolfe iteration cap for the continuous-relaxation prices. The
-/// loop usually exits early on the duality-gap test; the cap bounds
-/// preparation time deterministically.
+/// loop usually exits early on the root proof or the duality-gap test;
+/// the cap bounds preparation time deterministically.
 const FW_MAX_ITERS: u32 = 20_000;
 
 /// Frank-Wolfe duality-gap stop (in Σc² units): once the linearized gap
@@ -521,27 +594,31 @@ const FW_MAX_ITERS: u32 = 20_000;
 /// anyway.
 const FW_EPS: f64 = 0.25;
 
-/// Dual-near-optimal reference prices for the price bound, via
-/// Frank-Wolfe on the continuous relaxation of Eq. 2 (members may split
-/// fractionally across their feasible blocks). Each step places every
-/// class on its cheapest block under the gradient prices `2x` and moves
-/// with the exact closed-form line search; the run is warm-started from
-/// the incumbent loads and is a pure function of `(eq, incumbent)`, so
-/// every drive of the same instance sees identical prices. Returns the
-/// fixed-point integer prices `Λ = round(2·x*·2^PRICE_SHIFT)`.
-#[expect(
-    clippy::cast_possible_truncation,
-    clippy::cast_sign_loss,
-    reason = "0 <= x_h <= member count < 2^32, so x_h·2^(PRICE_SHIFT+1) < 2^49 fits u64"
-)]
+/// Dual reference prices for the price bound, via Frank-Wolfe on the
+/// continuous relaxation of Eq. 2 (members may split fractionally across
+/// their feasible blocks). Each step places every class on its cheapest
+/// block under the gradient prices `2x` and moves with the exact
+/// closed-form line search; the run is warm-started from the incumbent
+/// loads and is a pure function of `(eq, incumbent)`, so every drive of
+/// the same instance sees identical prices.
+///
+/// Each direction step also prices the root: at `λ = 2x` the integer
+/// bound is `⟨2x, s⟩ − Σx² + Σr²` (with `r_h` the distance of `x_h` to the
+/// nearest integer), and once that exceeds `incumbent − 2` and the
+/// fixed-point test confirms it ([`root_price_proves`]), the search will
+/// prune its root, so the loop stops there. Otherwise it runs to the gap
+/// test or the iteration cap. Returns the fixed-point integer prices
+/// `Λ = round(2·x·2^PRICE_SHIFT)`.
 fn relaxation_prices(
     eq: &EquivalenceClasses,
     incumbent_counts: &[u32; HOURS_PER_DAY],
+    incumbent_sumsq: u64,
 ) -> [u64; HOURS_PER_DAY] {
     let mut x = [0.0f64; HOURS_PER_DAY];
     for (xh, &c) in x.iter_mut().zip(incumbent_counts) {
         *xh = f64::from(c);
     }
+    let proof_level = incumbent_sumsq as f64 - 2.0;
     for _ in 0..FW_MAX_ITERS {
         // Direction: every class fully on its cheapest block under ∇f=2x.
         let mut s = [0.0f64; HOURS_PER_DAY];
@@ -564,6 +641,21 @@ fn relaxation_prices(
         }
         // Linearized gap ⟨∇f, s − x⟩ ≤ 0; small means near-optimal.
         let gap: f64 = x.iter().zip(&s).map(|(&xh, &sh)| 2.0 * xh * (sh - xh)).sum();
+        // The root bound at λ = 2x: ⟨2x, s⟩ − Σx² + Σr² = Σx² + gap + Σr².
+        let root: f64 = x
+            .iter()
+            .map(|&xh| {
+                let r = xh - xh.round();
+                xh * xh + r * r
+            })
+            .sum::<f64>()
+            + gap;
+        if root > proof_level {
+            let lambda = fixed_prices(&x);
+            if root_price_proves(eq, &lambda, incumbent_sumsq) {
+                return lambda;
+            }
+        }
         if gap >= -FW_EPS {
             break;
         }
@@ -580,9 +672,19 @@ fn relaxation_prices(
             *xh += gamma * (sh - *xh);
         }
     }
+    fixed_prices(&x)
+}
+
+/// Fixed-point prices `Λ = round(2·x·2^PRICE_SHIFT)` of relaxed loads.
+#[expect(
+    clippy::cast_possible_truncation,
+    clippy::cast_sign_loss,
+    reason = "0 <= x_h <= member count < 2^32, so x_h·2^(PRICE_SHIFT+1) < 2^49 fits u64"
+)]
+fn fixed_prices(x: &[f64; HOURS_PER_DAY]) -> [u64; HOURS_PER_DAY] {
     let mut lambda = [0u64; HOURS_PER_DAY];
     let to_fixed = f64::from(1u32 << (PRICE_SHIFT + 1));
-    for (l, &xh) in lambda.iter_mut().zip(&x) {
+    for (l, &xh) in lambda.iter_mut().zip(x) {
         // Loads are bounded by the member count, so the product fits u64
         // with room to spare; negative is impossible but clamp anyway.
         *l = (xh * to_fixed).round().max(0.0) as u64;
@@ -640,7 +742,9 @@ pub(crate) struct Prep {
     slots: Vec<SlotInfo>,
     class_size: Vec<u32>,
     suffix_units: Vec<u32>,
-    suffix_forced: Vec<ForcedUnits>,
+    /// Per class index `c`, the pigeonhole table of classes `c..`; built
+    /// by the first pigeonhole evaluation ([`Prep::suffix_forced`]).
+    suffix_forced: OnceLock<Vec<ForcedUnits>>,
     /// Class-boundary slot where the parallel driver splits, when the
     /// tree is wide enough ([`TASK_TARGET`]); `None` means sequential.
     pub(crate) split_slot: Option<usize>,
@@ -667,7 +771,55 @@ pub(crate) struct Prep {
     suffix_price: Vec<u64>,
 }
 
+/// Per class index `c`, the pigeonhole table of classes `c..`; entry
+/// `class_count` is empty.
+fn forced_suffixes(eq: &EquivalenceClasses) -> Vec<ForcedUnits> {
+    let mut suffix = vec![ForcedUnits::new(); eq.class_count() + 1];
+    for c in (0..eq.class_count()).rev() {
+        let class = &eq.classes()[c];
+        let p = class.preference();
+        let mut forced = suffix[c + 1].clone();
+        forced.add_window_times(p.begin(), p.end(), p.duration(), class.size());
+        suffix[c] = forced;
+    }
+    suffix
+}
+
 impl Prep {
+    /// The per-class suffix pigeonhole tables, built on first use: a
+    /// search the price bound or the union fill settles never needs them.
+    fn suffix_forced(&self) -> &[ForcedUnits] {
+        self.suffix_forced.get_or_init(|| forced_suffixes(&self.eq))
+    }
+
+    /// Freezes the reference prices `Λ` and derives the in-tree price
+    /// tables and the fixed-point envelope check from them.
+    fn set_prices(&mut self, lambda: [u64; HOURS_PER_DAY]) {
+        let slot_price = slot_prices(&self.eq, &lambda);
+        // Suffix-min within each class: members still unassigned at slot
+        // (class, d) may only take deferments ≥ d.
+        let mut min_price_from = slot_price.clone();
+        for s in (0..min_price_from.len().saturating_sub(1)).rev() {
+            if self.slots[s].class == self.slots[s + 1].class {
+                min_price_from[s] = min_price_from[s].min(min_price_from[s + 1]);
+            }
+        }
+        // Σ over whole classes `c'. ≥ c` of size · min block price.
+        // Saturating: past the envelope below the sums are never used.
+        let class_count = self.eq.class_count();
+        let mut suffix_price = vec![0u64; class_count + 1];
+        for c in (0..class_count).rev() {
+            suffix_price[c] = suffix_price[c + 1].saturating_add(
+                u64::from(self.class_size[c]).saturating_mul(min_price_from[self.eq.offset(c)]),
+            );
+        }
+        let (_, price_cap) = class_price_totals(&self.eq, &slot_price);
+        self.price_bound = price_bound_fits(price_cap, self.incumbent_sumsq, &lambda);
+        self.lambda = lambda;
+        self.min_price_from = min_price_from;
+        self.suffix_price = suffix_price;
+    }
+
     /// A fresh root-state search over this preparation.
     pub(crate) fn search<'a>(
         &'a self,
@@ -932,9 +1084,10 @@ impl Search<'_> {
             let k64 = u64::from(k);
             let delta = 2 * k64 * block_sum + k64 * k64 * dur;
             // Even the relaxed completion of the remaining suffix cannot
-            // rescue a child whose partial Σc² already reaches the
-            // incumbent; larger k only costs more, so stop here.
-            if self.sumsq + delta >= self.best_sumsq {
+            // rescue a child whose partial Σc² already exceeds the parity
+            // cut below the incumbent; larger k only costs more, so stop
+            // here.
+            if cannot_improve(self.sumsq + delta, self.best_sumsq) {
                 break;
             }
             self.apply(block_mask, k, true);
@@ -976,14 +1129,14 @@ impl Search<'_> {
 
         // Cheapest first: the Lagrangian price bound. Remaining members
         // each pay at least their cheapest feasible block at the frozen
-        // fixed-point reference prices; the per-hour penalty Σ(λ/2−c)₊²
-        // is what the relaxed continuous load could still save below the
-        // price level — evaluated on *live* hours only, because dead
-        // hours can take no further load and contribute their exact c².
-        // Everything is compared at scale `4·2^(2·PRICE_SHIFT)` and
-        // rearranged to stay unsigned:
-        //   bound ≥ best ⟺ 4S·price_part + 4S²·sumsq ≥ 4S²·best + penalty.
-        // Skipped outside the instance's fixed-point envelope.
+        // fixed-point reference prices; the per-hour penalty is what the
+        // relaxed whole-unit load could still save below the price level
+        // ([`integer_penalty`]) — evaluated on *live* hours only, because
+        // dead hours can take no further load and contribute their exact
+        // c². The comparison runs at scale `4·2^(2·PRICE_SHIFT)` with the
+        // parity slack ([`price_prunes`]). Skipped outside the instance's
+        // fixed-point envelope.
+        let best = self.best_sumsq;
         let mut prunes = self.prep.price_bound && {
             let price_part =
                 u64::from(rem) * self.prep.min_price_from[slot] + self.prep.suffix_price[class + 1];
@@ -991,20 +1144,19 @@ impl Search<'_> {
             let mut bits = avail_mask;
             while bits != 0 {
                 let h = bits.trailing_zeros() as usize;
-                let short = self.prep.lambda[h]
-                    .saturating_sub(u64::from(self.counts[h]) << (PRICE_SHIFT + 1));
-                penalty += short * short;
+                penalty += integer_penalty(
+                    self.prep.lambda[h]
+                        .saturating_sub(u64::from(self.counts[h]) << (PRICE_SHIFT + 1)),
+                );
                 bits &= bits - 1;
             }
-            let lhs = (price_part << (PRICE_SHIFT + 2)) + (self.sumsq << (2 * PRICE_SHIFT + 2));
-            let rhs = (self.best_sumsq << (2 * PRICE_SHIFT + 2)) + penalty;
-            lhs >= rhs
+            price_prunes(price_part, self.sumsq, penalty, best)
         };
 
         // Next: the analytic union fill of the remaining units.
         if !prunes {
             let fill = self.sumsq + unit_fill_extra(&self.counts, avail_mask, rem_units);
-            prunes = fill >= self.best_sumsq;
+            prunes = cannot_improve(fill, best);
         }
         if !prunes {
             // The union fill pools all remaining units anywhere; when it
@@ -1021,7 +1173,7 @@ impl Search<'_> {
                 value
             } else {
                 self.bound_evals += 1;
-                let mut forced = self.prep.suffix_forced[class + 1].clone();
+                let mut forced = self.prep.suffix_forced()[class + 1].clone();
                 forced.add_window_times(info.begin, info.end, info.duration, rem);
                 let pigeon = unit_pigeonhole_bound(&self.counts, avail_mask, &forced);
                 let value = pigeon.saturating_sub(self.sumsq);
@@ -1030,7 +1182,7 @@ impl Search<'_> {
                 }
                 value
             };
-            prunes = self.sumsq + extra >= self.best_sumsq;
+            prunes = cannot_improve(self.sumsq + extra, best);
         }
         if let Some(started) = started {
             let spent = self.clock.now().saturating_sub(started);
@@ -1306,5 +1458,200 @@ mod tests {
         }
         let k = 24_000u64;
         assert_eq!(drive(&bb, &cases[1].0, true), (false, true, k * k));
+    }
+
+    use proptest::prelude::*;
+    use rand::rngs::StdRng;
+    use rand::{RngExt, SeedableRng};
+
+    #[test]
+    fn integer_penalty_matches_an_exhaustive_integer_reference() {
+        // c²·2^S − min_y[(c+y)²·2^S − Λ·y] is 2^S times the real saving
+        // min over whole-unit loads; lifting it by 2^(S+2) more lands on
+        // the comparison scale.
+        let mut rng = StdRng::seed_from_u64(22);
+        let s = PRICE_SHIFT;
+        for case in 0..2_000 {
+            let c = rng.random_range(0..40u64);
+            let lambda = match case % 4 {
+                // Exact multiples and half multiples of one load unit hit
+                // the rounding ties.
+                0 => rng.random_range(0..90u64) * (LOAD_UNIT / 2),
+                1 => rng.random_range(0..90u64) * (LOAD_UNIT / 2) + 1,
+                _ => rng.random_range(0..(90u64 << (s + 1))),
+            };
+            let y_max = (lambda >> (s + 1)) + 2;
+            let value = |y: u64| -> i128 {
+                i128::from(((c + y) * (c + y)) << s) - i128::from(lambda) * i128::from(y)
+            };
+            let min = (0..=y_max).map(value).min().unwrap();
+            let reference = (i128::from((c * c) << s) - min) << (s + 2);
+            let short = lambda.saturating_sub(c << (s + 1));
+            assert_eq!(
+                i128::from(integer_penalty(short)),
+                reference,
+                "c = {c}, Λ = {lambda}"
+            );
+        }
+    }
+
+    /// A small instance for exhaustive checks: duplicate-heavy (one to
+    /// three signatures, each held by up to three households) or
+    /// all-distinct (two to six different signatures), at most seven
+    /// households with at most three hours of slack, crowded into the
+    /// afternoon so the windows overlap.
+    fn small_instance(seed: u64, duplicate_heavy: bool) -> AllocationProblem {
+        let mut rng = StdRng::seed_from_u64(seed);
+        let mut signature = || {
+            let v = rng.random_range(1..=3u8);
+            let slack = rng.random_range(0..=3u8);
+            let b = rng.random_range(12..=24 - v - slack);
+            (pref(b, b + v + slack, v), rng.random_range(1..=3usize))
+        };
+        let mut prefs: Vec<Preference> = Vec::new();
+        if duplicate_heavy {
+            for _ in 0..3 {
+                let (p, copies) = signature();
+                let copies = copies.min(7 - prefs.len());
+                prefs.extend(std::iter::repeat_n(p, copies));
+            }
+        } else {
+            for _ in 0..6 {
+                let (p, _) = signature();
+                if !prefs.contains(&p) {
+                    prefs.push(p);
+                }
+            }
+        }
+        problem(prefs)
+    }
+
+    /// Every schedule of the instance with its Σc², by odometer over
+    /// the deferment vectors.
+    fn every_schedule(p: &AllocationProblem) -> Vec<(Vec<u8>, u64)> {
+        let mut d = vec![0u8; p.len()];
+        let mut all = Vec::new();
+        loop {
+            let mut counts = [0u32; HOURS_PER_DAY];
+            for (pref, &di) in p.preferences().iter().zip(&d) {
+                let b = pref.begin() + di;
+                for h in b..b + pref.duration() {
+                    counts[usize::from(h)] += 1;
+                }
+            }
+            all.push((d.clone(), unit_sum_of_squares(&counts)));
+            let mut i = 0;
+            loop {
+                if i == d.len() {
+                    return all;
+                }
+                d[i] += 1;
+                if d[i] < p.choices(i) {
+                    break;
+                }
+                d[i] = 0;
+                i += 1;
+            }
+        }
+    }
+
+    /// The integer root price bound at prices `Λ`, at the comparison
+    /// scale, in signed arithmetic wide enough for any test price.
+    fn scaled_root_price_bound(eq: &EquivalenceClasses, lambda: &[u64; HOURS_PER_DAY]) -> i128 {
+        let (cheapest, _) = class_price_totals(eq, &slot_prices(eq, lambda));
+        (i128::from(cheapest) << (PRICE_SHIFT + 2)) - i128::from(root_penalty(lambda))
+    }
+
+    /// Random prices `Λ ≥ 0`: zero, whole and half load units, and
+    /// arbitrary values up to eight units, hour by hour.
+    fn random_prices(rng: &mut StdRng) -> [u64; HOURS_PER_DAY] {
+        let mut lambda = [0u64; HOURS_PER_DAY];
+        for l in &mut lambda {
+            *l = match rng.random_range(0..4u8) {
+                0 => 0,
+                1 => rng.random_range(0..16u64) * (LOAD_UNIT / 2),
+                _ => rng.random_range(0..8 * LOAD_UNIT),
+            };
+        }
+        lambda
+    }
+
+    proptest! {
+        #![proptest_config(ProptestConfig::with_cases(48))]
+
+        #[test]
+        fn parity_and_integer_price_cuts_are_admissible_on_small_instances(
+            seed in any::<u64>(),
+            duplicate_heavy in 0u8..2,
+        ) {
+            let p = small_instance(seed, duplicate_heavy == 1);
+            let all = every_schedule(&p);
+            let optimum = all.iter().map(|(_, sumsq)| *sumsq).min().unwrap();
+            let units: u64 = p.preferences().iter().map(|q| u64::from(q.duration())).sum();
+            // Parity: Σc is the same for every schedule and c² ≡ c (mod 2).
+            for (_, sumsq) in &all {
+                prop_assert_eq!(sumsq % 2, units % 2);
+            }
+            let eq = EquivalenceClasses::group(&p);
+            let ceiling = i128::from(optimum) << SUMSQ_SHIFT;
+            let mut rng = StdRng::seed_from_u64(seed ^ 0x5eed);
+            for _ in 0..16 {
+                let lambda = random_prices(&mut rng);
+                let bound = scaled_root_price_bound(&eq, &lambda);
+                prop_assert!(bound <= ceiling, "random prices: {bound} > {ceiling}");
+            }
+            let bb = BranchAndBound::new();
+            let dual = bb.prepare(&p).unwrap();
+            prop_assert!(scaled_root_price_bound(&eq, &dual.lambda) <= ceiling);
+            let brute = brute_force(&p).unwrap();
+            prop_assert!(dual.root_bound <= brute.objective + 1e-9);
+            let exact = bb.solve(&p).unwrap();
+            prop_assert!(exact.proven_optimal);
+            prop_assert_eq!(exact.solution.objective.to_bits(), brute.objective.to_bits());
+            // The local-search incumbent is usually optimal already, so
+            // also search from the runner-up (the parity cut's edge: the
+            // one improvement left is exactly 2 when it sits at optimum
+            // + 2) and from the worst schedule, with the dual's prices and
+            // with random ones in the tree.
+            let runner_up = all.iter().filter(|(_, sumsq)| *sumsq > optimum).min_by_key(|(_, sumsq)| *sumsq);
+            let worst = all.iter().max_by_key(|(_, sumsq)| *sumsq);
+            for (deferments, sumsq) in runner_up.into_iter().chain(worst) {
+                for prices in 0..3 {
+                    let mut prep = bb.prepare(&p).unwrap();
+                    prep.incumbent_sumsq = *sumsq;
+                    prep.incumbent_chosen = prep.eq.chosen_of(deferments);
+                    let lambda = if prices == 0 { prep.lambda } else { random_prices(&mut rng) };
+                    prep.set_prices(lambda);
+                    let mut search = prep.search(bb.clock.as_ref(), Duration::ZERO, u64::MAX, None);
+                    search.run_from(0);
+                    prop_assert!(!search.aborted);
+                    prop_assert_eq!(search.best_sumsq, optimum);
+                }
+            }
+        }
+    }
+
+    #[test]
+    fn parity_proves_a_root_whose_bound_falls_short_of_the_incumbent() {
+        // Three overlapping classes: the dual's integer root bound lands
+        // strictly between `best − 2` and `best`, so only the parity cut
+        // proves the incumbent, at the root, where the dual stops.
+        let p = problem(
+            [(16, 22, 2, 3), (17, 21, 3, 2), (15, 23, 1, 2)]
+                .iter()
+                .flat_map(|&(b, e, v, k)| std::iter::repeat_n(pref(b, e, v), k))
+                .collect(),
+        );
+        let bb = BranchAndBound::new();
+        let prep = bb.prepare(&p).unwrap();
+        assert!(root_price_proves(&prep.eq, &prep.lambda, prep.incumbent_sumsq));
+        let best = prep.incumbent_sumsq as f64;
+        let bound = prep.root_bound / (p.sigma() * p.rate() * p.rate());
+        assert!(best - 2.0 < bound && bound < best, "bound {bound}, best {best}");
+        let report = bb.solve(&p).unwrap();
+        assert!(report.proven_optimal);
+        assert_eq!(report.nodes, 1);
+        let brute = brute_force(&p).unwrap();
+        assert_eq!(report.solution.objective.to_bits(), brute.objective.to_bits());
     }
 }

@@ -139,8 +139,10 @@ pub struct SolveOutcome {
     pub rung: Rung,
     /// Whether the exact stage proved this solution optimal.
     pub proven_optimal: bool,
-    /// Root relaxation lower bound on the optimum (σ-scaled); `0` is the
-    /// trivial fallback when even the bound computation failed.
+    /// Root lower bound on the optimum (σ-scaled): the union fill, raised
+    /// to the exact stage's [`SolveReport::root_bound`](crate::exact::SolveReport::root_bound)
+    /// when that stage ran; `0` is the trivial fallback when even the
+    /// union fill failed.
     pub root_bound: f64,
     /// One entry per rung, in ladder order, including skipped rungs.
     pub stages: Vec<StageReport>,
@@ -420,8 +422,9 @@ impl AnytimePipeline {
         recorder: Option<&Recorder>,
     ) -> Result<SolveOutcome> {
         // Cheap root bound, valid for whatever rung ends up answering.
-        // Falls back to the trivial bound 0 if the computation panics.
-        let root_bound = run_contained(|| Ok(root_bound(problem)))
+        // Falls back to the trivial bound 0 if the computation panics; an
+        // exact stage that certified a tighter one raises it below.
+        let mut root_bound = run_contained(|| Ok(root_bound(problem)))
             .ok()
             .flatten()
             .unwrap_or(0.0);
@@ -453,6 +456,7 @@ impl AnytimePipeline {
             match run {
                 Ok(Some(report)) => {
                     proven = report.proven_optimal;
+                    root_bound = root_bound.max(report.root_bound);
                     if let Some(s) = span.as_mut() {
                         s.record("status", stage_status_key(if proven {
                             StageStatus::Solved
@@ -580,7 +584,7 @@ impl AnytimePipeline {
         problem: &AllocationProblem,
         recorder: Option<&Recorder>,
     ) -> Result<(SolveOutcome, crate::par::ParStats)> {
-        let root_bound = run_contained(|| Ok(root_bound(problem)))
+        let mut root_bound = run_contained(|| Ok(root_bound(problem)))
             .ok()
             .flatten()
             .unwrap_or(0.0);
@@ -657,6 +661,7 @@ impl AnytimePipeline {
             match exact_slot {
                 Some(LaneResult::Exact(Ok((report, lane_stats)), elapsed)) => {
                     proven = report.proven_optimal;
+                    root_bound = root_bound.max(report.root_bound);
                     stats.tasks = lane_stats.tasks;
                     stats.accepted = lane_stats.accepted;
                     stats.revalidated = lane_stats.revalidated;
@@ -1140,6 +1145,34 @@ mod tests {
             o.solution.objective * (1.0 - gap) <= o.root_bound + 1e-9,
             "gap must be consistent with the bound"
         );
+    }
+
+    #[test]
+    fn an_unproven_solve_reports_the_exact_stages_tighter_bound() {
+        // The windows crowd the evening, so the union fill spreads the
+        // load over hours most households cannot use; the exact stage's
+        // root bound knows where the windows are. One node aborts the
+        // search before any proof, on either ladder.
+        let p = problem(
+            std::iter::repeat_n(pref(16, 22, 3), 4)
+                .chain(std::iter::repeat_n(pref(18, 21, 2), 3))
+                .chain([pref(0, 24, 1)])
+                .collect(),
+        );
+        let union = root_bound(&p);
+        let optimum = brute_force(&p).unwrap().objective;
+        for threads in [1usize, 2] {
+            let o = AnytimePipeline::new()
+                .with_threads(threads)
+                .with_exact_node_limit(1)
+                .solve(&p)
+                .unwrap();
+            assert!(!o.proven_optimal);
+            assert!(o.root_bound > union, "{} vs union fill {union}", o.root_bound);
+            assert!(o.root_bound <= optimum + 1e-9, "{} > optimum {optimum}", o.root_bound);
+            let union_gap = ((o.solution.objective - union) / o.solution.objective).clamp(0.0, 1.0);
+            assert!(o.certified_gap() < union_gap, "threads = {threads}");
+        }
     }
 
     #[test]
